@@ -604,13 +604,23 @@ def _cmd_batch_fleet(args) -> int:
     if args.on_error is not None:
         base += ["--on-error", args.on_error]
 
+    # Shards import ``repro`` from where this coordinator did, even when it
+    # was found through an import path the child would not otherwise see.
+    import os
+
+    import repro
+
+    package_root = str(pathlib.Path(repro.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root, env.get("PYTHONPATH")]))
+
     # Every launch resumes the shard's sink: a relaunched shard recomputes
     # only the cells its previous attempt did not make durable.
     def spawn(index: int, attempt: int) -> subprocess.Popen:
         argv = base + ["--shard", f"{index}/{of}",
                        "--output", str(shard_paths[index]), "--resume"]
         return subprocess.Popen(argv, stdout=subprocess.PIPE,
-                                stderr=subprocess.STDOUT, text=True)
+                                stderr=subprocess.STDOUT, text=True, env=env)
 
     print(f"fleet: launching {of} shard subprocess(es) "
           f"(backend={args.backend!r}, workers={args.workers} each)")

@@ -6,7 +6,9 @@ When numba is not installed (the preferred tier, see
 kernels are compiled *once* from the embedded source below into a small
 shared library and called through :mod:`ctypes` — ctypes foreign calls drop
 the GIL, and the kernels multi-thread their per-vertex loops with OpenMP
-when the toolchain supports it (``REPRO_NUM_THREADS`` caps the team size).
+when the toolchain supports it (``REPRO_NUM_THREADS`` caps the team size;
+a process forked after the library loaded runs them single-threaded, see
+:func:`cc_provider`).
 
 The C code is a line-for-line translation of the pure-Python kernels in
 :mod:`repro.core.kernels_jit` (the single source of semantics, parity-tested
@@ -333,7 +335,7 @@ def cc_provider(cache_dir: str | os.PathLike | None = None):
         return None
     cap = requested_thread_cap()
     threads = kernels.set_threads(cap) if cap is not None else kernels.threads()
-    return KernelProvider(
+    provider = KernelProvider(
         kind="cc",
         version=str(info.get("compiler", "cc")),
         threads=threads,
@@ -342,3 +344,16 @@ def cc_provider(cache_dir: str | os.PathLike | None = None):
         kw_round=kernels.kw_round,
         detail={"library": str(sofile), **info},
     )
+    if hasattr(os, "register_at_fork"):  # POSIX only
+        # libgomp is not fork-safe: a child forked from a thread that already
+        # ran a parallel region inherits that thread's team, whose worker
+        # threads do not exist in the child, and blocks forever at its first
+        # parallel region.  One thread never starts a team, so a forked child
+        # (e.g. a fork-started pool worker) runs the kernels single-threaded.
+        # (A build without OpenMP ignores the thread count.)
+        os.register_at_fork(after_in_child=lambda: _single_threaded(kernels, provider))
+    return provider
+
+
+def _single_threaded(kernels: _CcKernels, provider) -> None:
+    provider.threads = kernels.set_threads(1)

@@ -44,7 +44,6 @@ from repro.core.linial import linial_coloring
 from repro.core.results import ColoringResult
 from repro.engine.base import Engine
 from repro.engine.registry import resolve_backend
-from repro.verify.coloring import color_classes
 
 __all__ = [
     "delta_plus_one_coloring",
@@ -143,12 +142,18 @@ def theorem13_coloring(
 
     ``low_degree_coloring(subgraph, sub_input_colors, m)`` is the Theorem 3.1
     black box; it defaults to :func:`o_delta_coloring` (see the substitution
-    note there).  The parallel step's round count is the maximum over the
-    classes, as all classes run concurrently on vertex-disjoint subgraphs with
-    disjoint output color spaces.
+    note there).  The classes run concurrently, as in the proof: the hook is
+    called once per *group* of classes sharing the same induced max degree
+    (the only per-class input of the derived mother parameters), on the
+    disjoint union of those classes, i.e. the group's induced subgraph of the
+    ``psi``-monochromatic edges.  The hook must therefore be a local
+    algorithm, as the paper's Theorem 3.1 black box is: every vertex's output
+    may depend only on its own class.  The step's round count is the maximum
+    over the groups, and each class keeps its own slice of the output color
+    space.
 
     The input coloring is validated once, here at entry; the interior stages
-    (the defective coloring and the per-class colorings, whose inputs are
+    (the defective coloring and the per-group colorings, whose inputs are
     restrictions of the validated coloring to induced subgraphs) skip
     re-validation.
     """
@@ -174,25 +179,32 @@ def theorem13_coloring(
     psi = defective_coloring(graph, input_colors, m, d=d, backend=engine, validate_input=False)
 
     # Step 2: color every psi-class in parallel with a disjoint output space.
-    classes = color_classes(graph, psi.colors)
-    final = np.zeros(graph.n, dtype=np.int64)
-    per_class_rounds = 0
-    per_class_space = 0
-    class_results: list[tuple[int, np.ndarray, ColoringResult]] = []
-    for class_index, (_psi_color, vertices) in enumerate(sorted(classes.items())):
-        subgraph, mapping = graph.induced_subgraph(vertices)
-        sub_colors = input_colors[mapping]
-        sub = low_degree_coloring(subgraph, sub_colors, m)
-        class_results.append((class_index, mapping, sub))
-        per_class_rounds = max(per_class_rounds, sub.rounds)
-        per_class_space = max(per_class_space, sub.color_space_size)
+    # Keeping only the psi-monochromatic edges makes every class a union of
+    # connected components, so one run over a group of classes colors each
+    # class exactly as a run on that class alone would.
+    mono = psi.colors[graph.src_index] == psi.colors[graph.indices]
+    mono_indptr = np.zeros(graph.n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(graph.src_index[mono], minlength=graph.n), out=mono_indptr[1:])
+    mono_graph = Graph.from_csr_arrays(mono_indptr, graph.indices[mono], copy=False)
+    psi_values, class_of = np.unique(psi.colors, return_inverse=True)
+    class_degree = np.zeros(psi_values.size, dtype=np.int64)
+    np.maximum.at(class_degree, class_of, mono_graph.degrees)
+    group_of = np.maximum(class_degree, 1)[class_of]
+
+    group_results: list[tuple[np.ndarray, ColoringResult]] = []
+    for group in np.unique(group_of):
+        subgraph, mapping = mono_graph.induced_subgraph(np.nonzero(group_of == group)[0])
+        group_results.append((mapping, low_degree_coloring(subgraph, input_colors[mapping], m)))
+    per_class_rounds = max(sub.rounds for _, sub in group_results)
+    per_class_space = max(sub.color_space_size for _, sub in group_results)
 
     # A common per-class color space (the maximum) keeps the pair encoding
     # globally consistent; every class then uses its own disjoint slice.
-    for class_index, mapping, sub in class_results:
-        final[mapping] = class_index * per_class_space + sub.colors
+    final = class_of.astype(np.int64) * per_class_space
+    for mapping, sub in group_results:
+        final[mapping] += sub.colors
 
-    total_space = len(classes) * per_class_space
+    total_space = psi_values.size * per_class_space
     return ColoringResult(
         colors=final,
         rounds=psi.rounds + per_class_rounds,

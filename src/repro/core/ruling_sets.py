@@ -85,13 +85,10 @@ def ruling_set_from_coloring(
             # A node joins unless a neighbor already survived this phase.  All
             # joins of one sub-round happen simultaneously (adjacent joiners
             # share the digit b, which is fine — they compete again later).
-            blocked = np.zeros(graph.n, dtype=bool)
-            for v in group:
-                for u in graph.neighbors(int(v)):
-                    if survivors[u]:
-                        blocked[v] = True
-                        break
-            survivors[group[~blocked[group]]] = True
+            positions, rows = graph.incident_csr_entries(group)
+            hits = survivors[graph.indices[positions]]
+            blocked = np.bincount(rows[hits], minlength=group.size)
+            survivors[group[blocked == 0]] = True
         candidates = survivors
 
     vertices = np.nonzero(candidates)[0].astype(np.int64)

@@ -160,6 +160,8 @@ def run_mother_algorithm_vectorized(
     colors = -np.ones(n, dtype=np.int64)
     parts = np.zeros(n, dtype=np.int64)
     active = np.ones(n, dtype=bool)
+    # vertex -> row of the chunk's trial table; never reset (see the chunk loop)
+    row_of = ws.take("row_of", n)
     rounds = 0
 
     # Frontier compaction state: ``act`` are the still-active vertices and
@@ -201,18 +203,27 @@ def run_mother_algorithm_vectorized(
             # remaining rows' sources and their *active* neighbors (colored
             # neighbors are compared by final color, no values needed) — at
             # exactly the chunk's trial positions.
+            # Dedupe them without a sort: every entry scatters its slot into
+            # row_of, and the entries that read their own slot back are one
+            # per distinct vertex.  The temporaries are freed before the
+            # conflict table is built, so they do not raise the peak memory.
             src_verts = act[r_sub]
-            need = np.unique(np.concatenate([src_verts, d_sub[a_sub]]))
+            touched = np.concatenate([src_verts, d_sub[a_sub]])
+            slots = np.arange(touched.size)
+            row_of[touched] = slots
+            need = touched[row_of[touched] == slots]
+            del touched, slots
+            row_of[need] = np.arange(need.size)
             table = eval_grid(need, xs)
-            src_vals = table[np.searchsorted(need, src_verts)]
-            nbr_pos = np.searchsorted(need, d_sub)
+            src_vals = table[row_of[src_verts]]
+            nbr_pos = row_of[d_sub]
             if need.size:
-                np.minimum(nbr_pos, need.size - 1, out=nbr_pos)
+                np.clip(nbr_pos, 0, need.size - 1, out=nbr_pos)
             # A hit is an active neighbor trying the same value, or a colored
             # neighbor whose final color equals the trial color
             # (x % k) * q + value  <=>  final - (x % k) * q == value.
-            # (For colored neighbors nbr_pos is a clipped dummy; np.where
-            # discards that branch.)
+            # (For colored neighbors nbr_pos is a stale row_of entry clipped
+            # into range; np.where discards that branch.)
             hits = np.where(
                 a_sub[:, None],
                 table[nbr_pos] == src_vals,

@@ -20,12 +20,9 @@ __all__ = ["is_independent_set", "domination_radius", "assert_ruling_set"]
 
 def is_independent_set(graph: Graph, vertices: Iterable[int]) -> bool:
     """True iff no two vertices of the set are adjacent."""
-    chosen = set(int(v) for v in vertices)
-    for v in chosen:
-        for u in graph.neighbors(v):
-            if int(u) in chosen:
-                return False
-    return True
+    chosen = np.zeros(graph.n, dtype=bool)
+    chosen[np.fromiter(vertices, dtype=np.int64)] = True
+    return not np.any(chosen[graph.src_index] & chosen[graph.indices])
 
 
 def domination_radius(graph: Graph, vertices: Iterable[int]) -> int:
@@ -34,26 +31,21 @@ def domination_radius(graph: Graph, vertices: Iterable[int]) -> int:
     Returns ``-1`` if some vertex cannot reach the set at all (or the set is
     empty while the graph is not).
     """
-    chosen = sorted(set(int(v) for v in vertices))
+    frontier = np.unique(np.fromiter(vertices, dtype=np.int64))
     if graph.n == 0:
         return 0
-    if not chosen:
+    if not frontier.size:
         return -1
-    # Multi-source BFS from the whole set.
+    # Multi-source BFS from the whole set, one CSR gather per level.
     dist = -np.ones(graph.n, dtype=np.int64)
-    frontier = list(chosen)
-    for v in frontier:
-        dist[v] = 0
+    dist[frontier] = 0
     level = 0
-    while frontier:
+    while frontier.size:
         level += 1
-        nxt = []
-        for u in frontier:
-            for w in graph.neighbors(u):
-                if dist[w] < 0:
-                    dist[w] = level
-                    nxt.append(int(w))
-        frontier = nxt
+        positions, _ = graph.incident_csr_entries(frontier)
+        reached = graph.indices[positions]
+        frontier = np.unique(reached[dist[reached] < 0])
+        dist[frontier] = level
     if np.any(dist < 0):
         return -1
     return int(dist.max())
@@ -73,10 +65,10 @@ def assert_ruling_set(
         If the set is not independent in ``G^(alpha - 1)`` or some vertex is
         farther than ``r`` hops from the set.
     """
-    chosen = sorted(set(int(v) for v in vertices))
-    for v in chosen:
-        if not (0 <= v < graph.n):
-            raise VerificationError(f"ruling-set vertex {v} out of range")
+    chosen = np.unique(np.fromiter(vertices, dtype=np.int64))
+    out_of_range = chosen[(chosen < 0) | (chosen >= graph.n)]
+    if out_of_range.size:
+        raise VerificationError(f"ruling-set vertex {out_of_range[0]} out of range")
     base = graph if alpha == 2 else graph.power_graph(alpha - 1)
     if not is_independent_set(base, chosen):
         raise VerificationError(

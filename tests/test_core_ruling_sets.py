@@ -1,5 +1,7 @@
 """Tests for ruling sets (Lemma 3.2, Theorem 1.5, SEW13 baseline, MIS)."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -9,6 +11,29 @@ from repro.congest import generators
 from repro.congest.ids import greedy_coloring
 from repro.core import ruling_sets
 from repro.verify.ruling import assert_ruling_set, domination_radius, is_independent_set
+
+
+def loop_ruling_set_vertices(graph, colors, num_colors, base):
+    """Lemma 3.2 with the per-vertex neighbor loop the gather + bincount
+    replaced; returns the ruling set and the round count."""
+    t = max(1, math.ceil(math.log(max(num_colors, 2)) / math.log(base)))
+    candidates = np.ones(graph.n, dtype=bool)
+    rounds = 0
+    for phase in range(t):
+        digit = (colors // (base ** phase)) % base
+        survivors = np.zeros(graph.n, dtype=bool)
+        for b in range(base):
+            rounds += 1
+            group = np.nonzero(candidates & (digit == b))[0]
+            blocked = np.zeros(graph.n, dtype=bool)
+            for v in group:
+                for u in graph.neighbors(int(v)):
+                    if survivors[u]:
+                        blocked[v] = True
+                        break
+            survivors[group[~blocked[group]]] = True
+        candidates = survivors
+    return np.nonzero(candidates)[0], rounds
 
 
 class TestRulingSetFromColoring:
@@ -63,6 +88,23 @@ class TestRulingSetFromColoring:
         if g.n:
             radius = domination_radius(g, res.vertices)
             assert 0 <= radius <= res.r
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        n=st.integers(min_value=1, max_value=60),
+        p=st.floats(min_value=0.0, max_value=0.4),
+        seed=st.integers(min_value=0, max_value=1000),
+        base=st.integers(min_value=2, max_value=6),
+        spread=st.integers(min_value=1, max_value=5),
+    )
+    def test_matches_neighbor_loop(self, n, p, seed, base, spread):
+        g = generators.gnp(n, p, seed=seed)
+        colors = greedy_coloring(g) * spread  # sparse color values: more phases
+        num_colors = int(colors.max()) + 1
+        res = ruling_sets.ruling_set_from_coloring(g, colors, num_colors, base=base)
+        vertices, rounds = loop_ruling_set_vertices(g, colors, num_colors, base)
+        assert np.array_equal(res.vertices, vertices)
+        assert res.rounds == rounds
 
 
 class TestMisFromColoring:

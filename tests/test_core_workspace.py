@@ -1,6 +1,7 @@
 """Tests for the Workspace scratch-buffer arena and its use by the kernels."""
 
 import numpy as np
+import pytest
 
 from repro.congest import generators
 from repro.congest.ids import delta4_input_coloring
@@ -74,3 +75,26 @@ class TestCrossCallReuse:
             assert np.array_equal(reused.colors, fresh.colors)
             results.append(reused)
         assert all(r.colors.size for r in results)
+
+    @pytest.mark.parametrize("d,k", [(0, 1), (2, 1), (0, 4)])
+    def test_stale_row_map_entries_are_harmless(self, d, k):
+        # The chunk dedupe never resets its vertex -> row map: a larger graph
+        # run first, or plain garbage, leaves entries the smaller graph's
+        # colored neighbors read back.  Outputs must not depend on them.
+        large = generators.gnp(400, 0.05, seed=3)
+        small = generators.gnp(60, 0.2, seed=4)
+        ws = Workspace()
+        for graph in (large, small):
+            colors, m = delta4_input_coloring(graph, seed=2)
+            fresh = run_mother_algorithm_vectorized(graph, colors, m, d=d, k=k)
+            reused = run_mother_algorithm_vectorized(graph, colors, m, d=d, k=k, workspace=ws)
+            assert np.array_equal(reused.colors, fresh.colors)
+            assert np.array_equal(reused.parts, fresh.parts)
+            assert reused.rounds == fresh.rounds
+        garbage = np.random.default_rng(5).integers(-2**62, 2**62, size=small.n)
+        ws.take("row_of", small.n)[:] = garbage
+        colors, m = delta4_input_coloring(small, seed=2)
+        reused = run_mother_algorithm_vectorized(small, colors, m, d=d, k=k, workspace=ws)
+        fresh = run_mother_algorithm_vectorized(small, colors, m, d=d, k=k)
+        assert np.array_equal(reused.colors, fresh.colors)
+        assert np.array_equal(reused.parts, fresh.parts)

@@ -46,6 +46,7 @@ from repro.engine import (
     get_engine,
 )
 from repro.engine import jit as jit_module
+from repro.engine.retry import RetryPolicy
 from repro.verify.coloring import assert_proper_coloring
 
 
@@ -136,6 +137,30 @@ class TestJitResolution:
     def test_thread_cap_invalid_is_ignored(self, monkeypatch):
         monkeypatch.setenv("REPRO_NUM_THREADS", "lots")
         assert requested_thread_cap() is None
+
+    def test_pool_forked_after_threaded_kernels_completes(self, monkeypatch,
+                                                          pristine_provider):
+        # A fork-started pool worker inherits the forking thread's OpenMP
+        # team but not its threads; before the C tier went single-threaded
+        # in forked children, such a worker blocked at its first kernel.
+        monkeypatch.setenv("REPRO_NUM_THREADS", "2")
+        reset_provider_cache()
+        provider = get_provider()
+        if provider is None or provider.kind != "cc" or not provider.detail.get("openmp"):
+            pytest.skip("needs the OpenMP C tier")
+        assert provider.threads == 2
+        cells = [GraphSpec("random_regular", 2000, 8, seed=s) for s in range(4)]
+        serial = BatchRunner(backend="jit").run("delta_plus_one", cells)
+        # The deadline kills a deadlocked worker instead of waiting forever.
+        parallel = BatchRunner(backend="jit", workers=2,
+                               retry=RetryPolicy(cell_timeout=20.0)).run("delta_plus_one", cells)
+        assert parallel.events == []
+        assert [r["backend"] for r in parallel.records] == ["jit"] * len(cells)
+
+        def untimed(records):
+            return [{k: v for k, v in r.items() if k != "seconds"} for r in records]
+
+        assert untimed(parallel.records) == untimed(serial.records)
 
 
 # --------------------------------------------------------------------------- #

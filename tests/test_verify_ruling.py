@@ -2,11 +2,76 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.congest import generators
 from repro.congest.graph import Graph
 from repro.verify.coloring import VerificationError
 from repro.verify.ruling import assert_ruling_set, domination_radius, is_independent_set
+
+
+def loop_is_independent_set(graph, vertices):
+    """The per-vertex neighbor loop the vectorized check replaced."""
+    chosen = set(int(v) for v in vertices)
+    for v in chosen:
+        for u in graph.neighbors(v):
+            if int(u) in chosen:
+                return False
+    return True
+
+
+def loop_domination_radius(graph, vertices):
+    """The per-vertex multi-source BFS the frontier BFS replaced."""
+    chosen = sorted(set(int(v) for v in vertices))
+    if graph.n == 0:
+        return 0
+    if not chosen:
+        return -1
+    dist = -np.ones(graph.n, dtype=np.int64)
+    frontier = list(chosen)
+    for v in frontier:
+        dist[v] = 0
+    level = 0
+    while frontier:
+        level += 1
+        nxt = []
+        for u in frontier:
+            for w in graph.neighbors(u):
+                if dist[w] < 0:
+                    dist[w] = level
+                    nxt.append(int(w))
+        frontier = nxt
+    if np.any(dist < 0):
+        return -1
+    return int(dist.max())
+
+
+class TestAgainstLoops:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n=st.integers(min_value=0, max_value=40),
+        p=st.floats(min_value=0.0, max_value=0.3),
+        seed=st.integers(min_value=0, max_value=10_000),
+        data=st.data(),
+    )
+    def test_match_bfs_loops(self, n, p, seed, data):
+        # sparse gnp graphs are often disconnected, so -1 radii are covered
+        graph = generators.gnp(n, p, seed=seed) if n else Graph(0)
+        vertices = data.draw(st.lists(st.integers(0, max(0, n - 1)), max_size=n))
+        assert is_independent_set(graph, vertices) == loop_is_independent_set(graph, vertices)
+        assert domination_radius(graph, vertices) == loop_domination_radius(graph, vertices)
+
+    @pytest.mark.parametrize("graph,vertices", [
+        (Graph(5, [(0, 1), (2, 3)]), [0]),          # disconnected: -1
+        (Graph(5, [(0, 1), (2, 3)]), [0, 2, 4]),
+        (generators.ring(7), []),                   # empty set
+        (Graph(0), []),                             # n = 0
+        (generators.path(6), [1, 2, 5]),            # not independent
+        (generators.star(6), np.array([0, 0, 3])),  # repeats, numpy input
+    ])
+    def test_edge_cases(self, graph, vertices):
+        assert is_independent_set(graph, vertices) == loop_is_independent_set(graph, vertices)
+        assert domination_radius(graph, vertices) == loop_domination_radius(graph, vertices)
 
 
 class TestIndependence:
