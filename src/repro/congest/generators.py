@@ -13,18 +13,21 @@ with ``arange`` arithmetic (deterministic families) or per-round vectorized
 draws (randomized families) and hand it to :meth:`Graph.from_edge_array`, the
 fully vectorized CSR constructor — no generator appends edges one Python
 tuple at a time.  Deterministic families and the block-drawing random
-families build million-vertex instances in fractions of a second;
-``power_law_cluster`` keeps one (vectorized) round per attached vertex — the
-attachment process is inherently sequential — so it remains the slowest
-family at scale.
+families build million-vertex instances in fractions of a second.  The
+attachment process of ``power_law_cluster`` is inherently sequential, so it
+runs as one pass of the attachment kernel on the jit provider ladder
+(:mod:`repro.core.kernels_jit`): compiled where a tier resolves, the
+kernel's Python function otherwise.
 
 Randomized streams: ``gnp``, ``random_bipartite`` and ``random_tree`` consume
 their :func:`canonical_rng` stream in exactly the same order as the historical
-per-edge loops, so equal seeds still produce *identical* graphs.  The
-vectorized ``random_regular`` (round-based stub pairing) and
-``power_law_cluster`` (batched preferential draws) consume their streams in a
-new — still seed-deterministic — order; the golden record suite pins the new
-streams.
+per-edge loops (``gnp`` and ``random_bipartite`` in bounded blocks), so equal
+seeds still produce *identical* graphs.  ``random_regular`` (round-based stub
+pairing) consumes its stream in a new, still seed-deterministic order.
+``power_law_cluster`` pre-draws raw 64-bit words from its stream
+(``bit_generator.random_raw``) and the kernel uses them up one per draw in
+vertex order, so every kernel tier builds the same graph from one seed.  The
+generator tests pin both new streams by checksum.
 """
 
 from __future__ import annotations
@@ -181,17 +184,32 @@ def caterpillar(spine: int, legs: int) -> Graph:
     return Graph.from_edge_array(n, np.concatenate([spine_edges, leg_edges]))
 
 
+#: Vertex pairs per uniform draw of :func:`gnp` (bounds its working memory).
+_GNP_BLOCK_PAIRS = 1 << 22
+
+
 def gnp(n: int, p: float, seed: int = 0) -> Graph:
-    """Erdos-Renyi ``G(n, p)`` random graph."""
+    """Erdos-Renyi ``G(n, p)`` random graph.
+
+    One uniform draw per vertex pair ``i < j`` in row-major order, taken in
+    blocks of :data:`_GNP_BLOCK_PAIRS` pairs: consecutive draws continue the
+    stream, so the graph is the one a single draw over all pairs gives, while
+    the working memory stays bounded (the edges themselves are ``O(m)``).
+    """
     if not 0.0 <= p <= 1.0:
         raise GraphError(f"edge probability must be in [0, 1], got {p}")
     rng = canonical_rng(seed)
     if n < 2:
         return empty_graph(n)
-    iu, ju = np.triu_indices(n, k=1)
-    mask = rng.random(iu.size) < p
-    edges = np.stack([iu[mask], ju[mask]], axis=1)
-    return Graph.from_edge_array(n, edges)
+    rows = np.arange(n, dtype=np.int64)
+    row_start = rows * (n - 1) - rows * (rows - 1) // 2  # first pair of row i
+    pairs = n * (n - 1) // 2
+    parts = []
+    for lo in range(0, pairs, _GNP_BLOCK_PAIRS):
+        hits = lo + np.flatnonzero(rng.random(min(_GNP_BLOCK_PAIRS, pairs - lo)) < p)
+        i = np.searchsorted(row_start, hits, side="right") - 1
+        parts.append(np.column_stack([i, hits - row_start[i] + i + 1]))
+    return Graph.from_edge_array(n, np.concatenate(parts))
 
 
 def random_regular(n: int, degree: int, seed: int = 0, max_restarts: int = 500) -> Graph:
@@ -284,51 +302,39 @@ def power_law_cluster(n: int, attach: int, seed: int = 0) -> Graph:
     coloring algorithms because a handful of vertices have degree close to
     ``Delta`` while most are low degree.
 
-    Vectorized per round: each new vertex draws its ``attach`` distinct
-    targets as *batched* index draws into a preallocated endpoint pool (every
-    accepted edge contributes both endpoints, which is exactly
-    degree-proportional sampling), topping up only on duplicate draws — no
-    per-draw Python-list scan, so the build is ``O(n * attach)`` amortized.
+    Starts from ``K_attach``; each later vertex takes ``attach`` distinct
+    targets, each an endpoint of a uniformly drawn earlier edge, which is
+    exactly degree-proportional sampling (Batagelj & Brandes, "Efficient
+    generation of large random networks", Phys. Rev. E 71, 036113, 2005).
+    The pass is sequential, so it runs as the attachment kernel of the jit
+    provider ladder (compiled where a tier resolves, else its Python
+    function) on words pre-drawn from the seed's stream; every tier consumes
+    the same words, so one seed gives one graph on every tier.
     """
     if attach < 1:
         raise GraphError("attach must be >= 1")
     if n <= attach:
         return complete_graph(n)
-    rng = canonical_rng(seed)
+    from repro.core.kernels_jit import get_provider, python_provider
 
-    # Endpoint pool: 2 slots per edge; clique seed + attach per later vertex.
-    clique = complete_graph(attach)
-    clique_edges = clique.edge_array()
-    total_edges = clique_edges.shape[0] + (n - attach) * attach
-    pool = np.empty(2 * total_edges, dtype=np.int64)
-    fill = 2 * clique_edges.shape[0]
-    pool[:fill] = clique_edges.ravel()
-
-    edges = np.empty((total_edges, 2), dtype=np.int64)
-    edges[: clique_edges.shape[0]] = clique_edges
-    written = clique_edges.shape[0]
-
-    for new in range(attach, n):
-        chosen = np.empty(0, dtype=np.int64)
-        while chosen.size < attach:
-            need = attach - chosen.size
-            if fill:
-                # Pool entries are endpoints of already-accepted edges, all
-                # strictly below ``new`` — a draw can never hit ``new`` itself.
-                picks = pool[rng.integers(0, fill, size=need)]
-            else:
-                # attach == 1 only: the K_1 seed "clique" has no edges, so the
-                # very first new vertex draws uniformly; every accepted edge
-                # fills the pool, so all later draws are degree-proportional.
-                picks = rng.integers(0, new, size=need)
-            chosen = np.unique(np.concatenate([chosen, picks]))
-        edges[written : written + attach, 0] = new
-        edges[written : written + attach, 1] = chosen
-        written += attach
-        pool[fill : fill + attach] = chosen
-        pool[fill + attach : fill + 2 * attach] = new
-        fill += 2 * attach
+    kernels = get_provider() or python_provider()
+    clique = complete_graph(attach).edge_array()
+    edges = np.empty((clique.shape[0] + (n - attach) * attach, 2), dtype=np.int64)
+    edges[: clique.shape[0]] = clique
+    bits = canonical_rng(seed).bit_generator
+    draws = (n - attach) * attach
+    words = _words(bits, draws + draws // 8 + 64)  # slack for repeated targets
+    mark = np.empty(n, dtype=np.int64)
+    while kernels.attach(words, edges.reshape(-1), clique.size, attach, n,
+                         attach, mark) < 0:
+        words = np.concatenate([words, _words(bits, words.size)])
     return Graph.from_edge_array(n, edges)
+
+
+def _words(bits: np.random.BitGenerator, count: int) -> np.ndarray:
+    """The next ``count`` raw 64-bit outputs of ``bits``, as non-negative int64
+    (top 63 bits).  Prefix-consistent: two calls give what one call would."""
+    return (bits.random_raw(count) >> np.uint64(1)).view(np.int64)
 
 
 def disjoint_union(*graphs: Graph) -> Graph:

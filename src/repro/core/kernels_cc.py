@@ -2,10 +2,10 @@
 system compiler, loaded via :mod:`ctypes`.
 
 When numba is not installed (the preferred tier, see
-:mod:`repro.core.kernels_jit`) but a C compiler is on PATH, the three hot
+:mod:`repro.core.kernels_jit`) but a C compiler is on PATH, the four
 kernels are compiled *once* from the embedded source below into a small
 shared library and called through :mod:`ctypes` — ctypes foreign calls drop
-the GIL, and the kernels multi-thread their per-vertex loops with OpenMP
+the GIL, and the engine kernels multi-thread their per-vertex loops with OpenMP
 when the toolchain supports it (``REPRO_NUM_THREADS`` caps the team size;
 a process forked after the library loaded runs them single-threaded, see
 :func:`cc_provider`).
@@ -46,6 +46,12 @@ _SOURCE = r"""
 #include <stdint.h>
 #ifdef _OPENMP
 #include <omp.h>
+#endif
+
+#if defined(__GNUC__) && !defined(__clang__)
+#define REPRO_O1 __attribute__((optimize("O1")))
+#else
+#define REPRO_O1
 #endif
 
 /* Horner evaluation of the degree-(f1-1) trial polynomial at x, mod q.
@@ -155,6 +161,39 @@ void repro_kw_round(int64_t nv, const int64_t *verts,
             s = 0;
         colors[v] = bo * block + s;
     }
+}
+
+/* Preferential attachment, sequential (see _kernel_attach).  Compiled at
+   -O1: -O3 only adds build time to this pointer-chasing loop. */
+REPRO_O1 int64_t repro_attach(int64_t nwords, const int64_t *words,
+                                 int64_t *ends, int64_t fill, int64_t start,
+                                 int64_t n, int64_t attach, int64_t *mark)
+{
+    for (int64_t i = 0; i < n; i++)
+        mark[i] = -1;
+    int64_t w = 0;
+    for (int64_t v = start; v < n; v++) {
+        int64_t got = 0;
+        while (got < attach) {
+            if (w == nwords)
+                return -1;
+            int64_t r = words[w];
+            w++;
+            int64_t t;
+            if (fill > 0)
+                t = ends[r % fill];
+            else
+                t = r % v;
+            if (mark[t] != v) {
+                mark[t] = v;
+                ends[fill + 2 * got] = v;
+                ends[fill + 2 * got + 1] = t;
+                got++;
+            }
+        }
+        fill += 2 * attach;
+    }
+    return w;
 }
 
 void repro_set_threads(int64_t n)
@@ -287,6 +326,11 @@ class _CcKernels:
             c_int64, POINTER(c_int64), POINTER(c_int64), POINTER(c_int64),
             POINTER(c_int64), c_int64, c_int64, POINTER(c_uint8),
         ]
+        lib.repro_attach.restype = c_int64
+        lib.repro_attach.argtypes = [
+            c_int64, POINTER(c_int64), POINTER(c_int64), c_int64, c_int64,
+            c_int64, c_int64, POINTER(c_int64),
+        ]
         lib.repro_set_threads.restype = None
         lib.repro_set_threads.argtypes = [c_int64]
         lib.repro_get_threads.restype = c_int64
@@ -319,6 +363,17 @@ class _CcKernels:
             _p64(colors), block, target, _pu8(used),
         )
 
+    def attach(self, words, ends, fill, start, n, attach, mark) -> int:
+        # The C loop indexes ``ends`` and ``mark`` unchecked.
+        for array in (words, ends, mark):
+            if array.dtype != np.int64 or not array.flags.c_contiguous:
+                raise TypeError("attach kernel arrays must be C-contiguous int64")
+        if start < 1 or ends.size < fill + 2 * (n - start) * attach or mark.size < n:
+            raise ValueError("attach kernel: start < 1, or ends or mark too short")
+        return int(self._lib.repro_attach(
+            words.size, _p64(words), _p64(ends), fill, start, n, attach, _p64(mark),
+        ))
+
 
 def cc_provider(cache_dir: str | os.PathLike | None = None):
     """Build/load the C tier as a :class:`~repro.core.kernels_jit.KernelProvider`;
@@ -342,6 +397,7 @@ def cc_provider(cache_dir: str | os.PathLike | None = None):
         mother_first=kernels.mother_first,
         remove_class=kernels.remove_class,
         kw_round=kernels.kw_round,
+        attach=kernels.attach,
         detail={"library": str(sofile), **info},
     )
     if hasattr(os, "register_at_fork"):  # POSIX only

@@ -17,9 +17,18 @@ intermediates and scatter-adds them with ``bincount``, a compiled kernel
 * never allocates: callers pass scratch from the existing
   :class:`repro.core.workspace.Workspace` arena.
 
+A fourth kernel is not an engine primitive: :func:`_kernel_attach` is the
+sequential preferential-attachment pass behind
+:func:`repro.congest.generators.power_law_cluster`.  The generator takes it
+from the same provider ladder, with :func:`python_provider` as the floor
+when no compiled tier resolves, so a machine without a compiler still
+builds the graph; every tier consumes the same pre-drawn random words, so
+one seed gives one graph on every tier.
+
 The kernels below are **pure Python and numba-compilable**: the ``numba``
 tier wraps them verbatim with ``@njit(cache=True, parallel=True,
-nogil=True)`` so ``prange`` fans the per-vertex loop across threads.  When
+nogil=True)`` so ``prange`` fans the per-vertex loop across threads (the
+sequential attachment kernel is compiled without ``parallel``).  When
 numba is not installed, a hand-written C translation of the same loops
 (:mod:`repro.core.kernels_cc`) is compiled once with the system C compiler
 and loaded via :mod:`ctypes`; when neither tier is available the ``jit``
@@ -183,6 +192,46 @@ def _kernel_kw_round(verts, indptr, indices, colors, block, target, used):
         colors[v] = bo * block + s
 
 
+def _kernel_attach(words, ends, fill, start, n, attach, mark):
+    """Preferential attachment (Batagelj & Brandes): vertices ``start..n-1``
+    each take ``attach`` distinct targets, in one pass over the endpoint pool.
+
+    ``ends`` is the flattened ``(m, 2)`` edge array and is the pool itself:
+    its first ``fill`` slots hold the seed edges, and each new vertex ``v``
+    writes its edges ``(v, t)`` right after them.  A target is
+    ``ends[r % fill]``, an endpoint of an earlier edge (so a vertex is hit in
+    proportion to its degree), where ``r`` is the next unused word of
+    ``words`` (non-negative); while the pool is empty (``attach == 1``, first
+    vertex) it is ``r % v``.  A target ``v`` already took uses up its word and
+    is skipped.  ``mark`` is scratch of length ``n``.
+
+    Sequential by nature: every vertex reads the edges of all earlier ones.
+    Returns the number of words used, or -1 when they ran out (the caller
+    appends more words and runs the kernel again).
+    """
+    for i in range(n):
+        mark[i] = -1
+    w = 0
+    for v in range(start, n):
+        got = 0
+        while got < attach:
+            if w == words.shape[0]:
+                return -1
+            r = words[w]
+            w += 1
+            if fill > 0:
+                t = ends[r % fill]
+            else:
+                t = r % v
+            if mark[t] != v:
+                mark[t] = v
+                ends[fill + 2 * got] = v
+                ends[fill + 2 * got + 1] = t
+                got += 1
+        fill += 2 * attach
+    return w
+
+
 # --------------------------------------------------------------------------- #
 # Providers: numba -> cc -> (None: the engine falls back to the array backend)
 # --------------------------------------------------------------------------- #
@@ -190,7 +239,7 @@ def _kernel_kw_round(verts, indptr, indices, colors, block, target, used):
 
 @dataclass
 class KernelProvider:
-    """A resolved compiled-kernel tier: the three kernels plus provenance."""
+    """A resolved compiled-kernel tier: the four kernels plus provenance."""
 
     kind: str  # "numba" | "cc" | "python"
     version: str
@@ -198,6 +247,7 @@ class KernelProvider:
     mother_first: Callable[..., None]
     remove_class: Callable[..., None]
     kw_round: Callable[..., None]
+    attach: Callable[..., int]
     detail: dict[str, Any] = field(default_factory=dict)
 
 
@@ -233,6 +283,7 @@ def _numba_provider() -> KernelProvider | None:
             mother_first=njit(**flags)(_kernel_mother_first),
             remove_class=njit(**flags)(_kernel_remove_class),
             kw_round=njit(**flags)(_kernel_kw_round),
+            attach=njit(cache=True, nogil=True)(_kernel_attach),
         )
     except Exception:  # pragma: no cover - depends on the numba install
         return None
@@ -241,9 +292,11 @@ def _numba_provider() -> KernelProvider | None:
 def python_provider() -> KernelProvider:
     """The kernels as plain Python (``prange == range``).
 
-    Far too slow to be a real tier, but it executes the *exact* code the numba
-    tier compiles — the parity tests run it against the array backend so the
-    numba kernels' logic is verified even on machines without numba.
+    Far too slow to be a real engine tier, but it executes the *exact* code
+    the numba tier compiles — the parity tests run it against the array
+    backend so the numba kernels' logic is verified even on machines without
+    numba.  It is also the floor of the attachment kernel:
+    ``power_law_cluster`` runs it when no compiled tier resolves.
     """
     import platform
 
@@ -254,6 +307,7 @@ def python_provider() -> KernelProvider:
         mother_first=_kernel_mother_first,
         remove_class=_kernel_remove_class,
         kw_round=_kernel_kw_round,
+        attach=_kernel_attach,
     )
 
 

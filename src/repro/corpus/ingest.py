@@ -6,8 +6,21 @@ whitespace *or* comma separated fields, extra columns (weights, timestamps),
 0- or 1-based (or entirely arbitrary, gappy) vertex ids, duplicate edges in
 either orientation.  :func:`parse_edge_list` tolerates all of that and fails
 *loudly* on anything genuinely malformed — a self loop, an unparseable token,
-a one-column line — with a :class:`~repro.congest.graph.GraphFormatError`
-naming the offending source line.
+a one-column line, an id outside the int64 range — with a
+:class:`~repro.congest.graph.GraphFormatError` naming the offending source
+line.
+
+Most files are *regular*, and those are parsed in one numpy pass over the
+file's bytes (:func:`_parse_regular`): the file is ASCII with no bare ``\r``;
+comment lines and at most one header come only before the first data line,
+and blank lines only before it or after the last one; the body holds only
+digits, ``+``/``-`` at the start of a token, spaces, tabs, ``,``, ``;`` and
+line ends; no token has more than 18 digits; every data line has the same
+number of fields (at least 2); and there is no self loop.  One
+``np.fromstring`` call tokenizes the body.  Any other file — and any file
+holding an error — goes through the per-line loop (:func:`_parse_lines`),
+which names the line of every error.  Both paths return equal
+:class:`ParsedEdgeList` values, so which one ran is invisible to callers.
 
 The parse result keeps per-edge line provenance (``lines[i]`` is the 1-based
 source line of raw edge ``i``), so every downstream rejection can point back
@@ -27,6 +40,7 @@ from __future__ import annotations
 import gzip
 import io
 import pathlib
+import zlib
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -41,6 +55,23 @@ COMMENT_PREFIXES = ("#", "%", "//")
 
 #: Field separators normalized to whitespace before splitting.
 _SEPARATORS = (",", ";")
+
+#: Every byte a regular file's body may hold.
+_BODY_BYTES = b"0123456789+- \t,;\r\n"
+
+#: Separators of a regular body mapped to spaces (in a regular body every
+#: ``\r`` is part of a ``\r\n``).
+_TO_SPACE = bytes.maketrans(b"\t,;\r", b"    ")
+
+#: The most digits a token of a regular body may have: such an id always
+#: fits int64, while ``np.fromstring`` silently clamps a larger one.
+_MAX_DIGITS = 18
+
+#: Relabel through a presence bitmap while the id range is at most this many
+#: times the endpoint count.
+_DENSE_FACTOR = 4
+
+_INT64_MIN, _INT64_MAX = int(np.iinfo(np.int64).min), int(np.iinfo(np.int64).max)
 
 
 @dataclass(frozen=True)
@@ -80,6 +111,13 @@ def _open_text(path: pathlib.Path) -> io.TextIOBase:
     if path.suffix == ".gz":
         return io.TextIOWrapper(gzip.open(path, "rb"), encoding="utf-8", errors="replace")
     return open(path, "r", encoding="utf-8", errors="replace")
+
+
+def _read_bytes(path: pathlib.Path) -> bytes:
+    if path.suffix == ".gz":
+        with gzip.open(path, "rb") as handle:
+            return handle.read()
+    return path.read_bytes()
 
 
 def _split_fields(text: str) -> list[str]:
@@ -123,12 +161,91 @@ def parse_edge_list(
     Raises
     ------
     GraphFormatError
-        On an unparseable token or a one-field line (always naming the
-        1-based source line), or on a self loop unless ``drop_self_loops``.
+        On an unparseable token, a one-field line or an id outside the int64
+        range (always naming the 1-based source line), or on a self loop
+        unless ``drop_self_loops``.
     """
     path = pathlib.Path(path)
     if not path.is_file():
         raise FileNotFoundError(f"edge-list file not found: {path}")
+    parsed = _parse_regular(path)
+    if parsed is None:
+        parsed = _parse_lines(path, drop_self_loops)
+    return parsed
+
+
+def _parse_regular(path: pathlib.Path) -> ParsedEdgeList | None:
+    """The parse of a regular file (see the module docstring), in one numpy
+    pass over its bytes; ``None`` when the file is not regular."""
+    try:
+        data = _read_bytes(path)
+    except (OSError, EOFError, zlib.error):
+        return None  # the loop raises the same error where it reaches it
+    if not data.isascii() or data.count(b"\r") != data.count(b"\r\n"):
+        return None
+    # The preamble, read line by line exactly as the loop reads it.
+    pos = lineno = comments = 0
+    header = False
+    while pos < len(data):
+        end = data.find(b"\n", pos)
+        end = len(data) if end < 0 else end
+        lineno += 1
+        text = data[pos:end].decode("ascii").strip()
+        if text.startswith(COMMENT_PREFIXES):
+            comments += 1
+        elif text:
+            if header or not _looks_like_header(_split_fields(text)):
+                break
+            header = True
+        pos = end + 1
+    else:
+        return None  # no data line
+    # Trailing blank lines and whitespace hold no tokens; drop them.
+    end = len(data)
+    while end > pos and data[end - 1] in b" \t\r\n":
+        end -= 1
+    body = data[pos:end]
+    if body.translate(None, _BODY_BYTES):
+        return None
+    body = body.translate(_TO_SPACE)
+    codes = np.frombuffer(body, dtype=np.uint8)
+    token = np.zeros(codes.size + 2, dtype=np.int8)
+    token[1:-1] = codes > 32  # digits and signs
+    step = np.diff(token)
+    bounds = np.flatnonzero(step)  # alternately a token's first byte and one past its last
+    starts, stops = bounds[0::2], bounds[1::2]
+    breaks = np.flatnonzero(codes == 10)
+    rows = breaks.size + 1
+    width = starts.size // rows
+    if width < 2 or starts.size != rows * width:
+        return None
+    if body.count(b"+") or body.count(b"-"):
+        signs = np.flatnonzero((codes == 43) | (codes == 45))
+        # A sign must open a token and be followed by more of it.
+        if (step[signs] != 1).any() or not token[signs + 2].all():
+            return None
+    lengths = stops - starts
+    if lengths.max() > _MAX_DIGITS:
+        digits = lengths - (codes[starts] < 48)  # a sign is no digit
+        if digits.max() > _MAX_DIGITS:
+            return None
+    # Line i holds tokens i*width .. (i+1)*width-1 iff every line end falls
+    # between the last token of one line and the first of the next.
+    if not ((stops[width - 1::width][:-1] <= breaks).all()
+            and (starts[width::width] > breaks).all()):
+        return None
+    values = np.fromstring(body, dtype=np.int64, sep=" ")
+    if values.size != starts.size:
+        return None
+    pairs = values.reshape(rows, width)[:, :2]
+    if (pairs[:, 0] == pairs[:, 1]).any():
+        return None  # the loop names the self loop's line or drops it
+    lines = np.arange(lineno, lineno + rows, dtype=np.int64)
+    return _finish(path, pairs, lines, header, comments, 0)
+
+
+def _parse_lines(path: pathlib.Path, drop_self_loops: bool) -> ParsedEdgeList:
+    """The per-line parse of any file; names the line of every error."""
     pairs: list[tuple[int, int]] = []
     linenos: list[int] = []
     comments = 0
@@ -162,6 +279,11 @@ def parse_edge_list(
                     f"{path.name}:{lineno}: unparseable edge endpoints in "
                     f"{text!r}", line=lineno,
                 ) from None
+            if not (_INT64_MIN <= u <= _INT64_MAX and _INT64_MIN <= v <= _INT64_MAX):
+                raise GraphFormatError(
+                    f"{path.name}:{lineno}: vertex id outside the int64 range "
+                    f"in {text!r}", line=lineno,
+                )
             if u == v:
                 if drop_self_loops:
                     self_loops += 1
@@ -180,13 +302,13 @@ def parse_edge_list(
         )
     raw_edges = np.array(pairs, dtype=np.int64)
     lines = np.array(linenos, dtype=np.int64)
-    ids = np.unique(raw_edges.ravel())
-    relabelled = not (
-        ids[0] == 0 and ids[-1] == ids.size - 1
-    )  # identity mapping for contiguous 0-based ids
-    edges = np.searchsorted(ids, raw_edges)
-    n = int(ids.size)
-    id_min, id_max = int(ids[0]), int(ids[-1])
+    return _finish(path, raw_edges, lines, header_skipped, comments, self_loops)
+
+
+def _finish(path: pathlib.Path, raw_edges: np.ndarray, lines: np.ndarray,
+            header_skipped: bool, comments: int, self_loops: int) -> ParsedEdgeList:
+    """Relabel the raw endpoint pairs and record what the parser saw."""
+    edges, n, id_min, id_max = _relabel(raw_edges)
     meta = {
         "format": "csv" if ".csv" in path.suffixes else "txt",
         "compressed": path.suffix == ".gz",
@@ -196,9 +318,28 @@ def parse_edge_list(
         "self_loops_dropped": self_loops,
         "id_min": id_min,
         "id_max": id_max,
-        "relabelled": bool(relabelled),
+        # identity mapping for contiguous 0-based ids
+        "relabelled": not (id_min == 0 and id_max == n - 1),
     }
     return ParsedEdgeList(n=n, edges=edges, lines=lines, meta=meta)
+
+
+def _relabel(raw_edges: np.ndarray) -> tuple[np.ndarray, int, int, int]:
+    """Map the ids to ``0..n-1`` in sorted order: ``(edges, n, id_min, id_max)``.
+
+    A presence bitmap plus ``cumsum`` when the id range is within
+    :data:`_DENSE_FACTOR` times the endpoint count, else ``np.unique`` +
+    ``searchsorted``; both give the same edges.
+    """
+    id_min, id_max = int(raw_edges.min()), int(raw_edges.max())
+    if id_max - id_min < _DENSE_FACTOR * raw_edges.size:
+        offsets = raw_edges - id_min
+        present = np.zeros(id_max - id_min + 1, dtype=bool)
+        present[offsets] = True
+        rank = np.cumsum(present, dtype=np.int64)
+        return rank[offsets] - 1, int(rank[-1]), id_min, id_max
+    ids = np.unique(raw_edges)
+    return np.searchsorted(ids, raw_edges), int(ids.size), id_min, id_max
 
 
 def build_graph(parsed: ParsedEdgeList) -> tuple[Graph, dict[str, Any]]:

@@ -81,7 +81,8 @@ def run_fleet(
         while True:
             proc = spawn(index, attempt)
             if proc.stdout is not None:
-                _pump(prefix, proc.stdout, echo, echo_lock)
+                with proc.stdout:
+                    _pump(prefix, proc.stdout, echo, echo_lock)
             code = proc.wait()
             if code == 0:
                 outcomes[index] = ShardOutcome(index, attempt, 0)

@@ -120,6 +120,19 @@ class TestRunFleet:
         assert outcomes == [ShardOutcome(index=0, attempts=2, returncode=7)]
         assert not outcomes[0].ok
 
+    def test_every_shard_pipe_is_closed(self):
+        spawned = []
+
+        def spawn(index, attempt):
+            proc = self.spawn_script(f"import sys; print('attempt {attempt}'); "
+                                     f"sys.exit({int(attempt == 1)})")
+            spawned.append(proc)
+            return proc
+
+        run_fleet(spawn, 2, retry=RetryPolicy(), echo=lambda _: None)
+        assert len(spawned) == 4  # each shard failed once and was relaunched
+        assert all(proc.stdout.closed for proc in spawned)
+
     def test_output_is_prefixed_per_shard(self):
         def spawn(index, attempt):
             return self.spawn_script(f"print('hello from', {index})")

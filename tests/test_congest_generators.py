@@ -237,11 +237,25 @@ class TestArrayNativeStreams:
 
     ``gnp``, ``random_bipartite`` and ``random_tree`` consume the stream in
     the same order as the historical per-edge Python loops, so they must equal
-    a verbatim replica of the old draw pattern.  ``random_regular`` and
-    ``power_law_cluster`` draw in a new (vectorized, still seed-deterministic)
-    order; their streams are pinned by checksum here and by the golden record
-    suite.
+    a verbatim replica of the old draw pattern.  ``random_regular`` draws in a
+    new (vectorized, still seed-deterministic) order and ``power_law_cluster``
+    from pre-drawn raw words; both streams are pinned by checksum here, and
+    ``random_regular``'s also by the golden record suite.
     """
+
+    @pytest.mark.parametrize("block", [1, 7, 50, 1 << 22])
+    @pytest.mark.parametrize("n,p,seed", [(2, 0.5, 0), (3, 1.0, 1), (10, 0.0, 2),
+                                          (50, 0.1, 3), (333, 0.02, 7)])
+    def test_gnp_blocks_match_triangle_mask(self, monkeypatch, block, n, p, seed):
+        # The historical build: one draw over the whole triu_indices mask.
+        rng = generators.canonical_rng(seed)
+        iu, ju = np.triu_indices(n, k=1)
+        mask = rng.random(iu.size) < p
+        from repro.congest.graph import Graph
+
+        legacy = Graph.from_edge_array(n, np.stack([iu[mask], ju[mask]], axis=1))
+        monkeypatch.setattr(generators, "_GNP_BLOCK_PAIRS", block)
+        assert generators.gnp(n, p, seed=seed) == legacy
 
     def test_random_bipartite_stream_matches_legacy_loop(self):
         a, b, p, seed = 13, 9, 0.3, 4
@@ -279,7 +293,7 @@ class TestArrayNativeStreams:
             # goldens (scripts/generate_golden_records.py) and say so loudly
             # in the commit message.
             ("random_regular", lambda: generators.random_regular(64, 4, seed=5), 2227000247),
-            ("power_law", lambda: generators.power_law_cluster(64, 3, seed=5), 112074324),
+            ("power_law", lambda: generators.power_law_cluster(64, 3, seed=5), 484976109),
         ],
     )
     def test_new_streams_pinned(self, name, build, checksum):
@@ -290,3 +304,109 @@ class TestArrayNativeStreams:
         assert digest == checksum, (
             f"{name} seed->graph stream changed (crc32 {digest} != pinned {checksum})"
         )
+
+
+class TestAttachKernel:
+    """``power_law_cluster``'s attachment kernel on every tier of the ladder.
+
+    The Python function is the specification and the floor; the resolved
+    compiled tier (C here, numba where it is installed) must write the same
+    edges from the same words, and run out of words at the same point.
+    """
+
+    @staticmethod
+    def compiled():
+        from repro.core.kernels_jit import get_provider
+
+        provider = get_provider()
+        if provider is None:
+            pytest.skip("no compiled kernel tier on this machine")
+        return provider
+
+    @staticmethod
+    def run(kernels, n, attach, words):
+        clique = generators.complete_graph(attach).edge_array()
+        edges = np.full((clique.shape[0] + (n - attach) * attach, 2), -7, dtype=np.int64)
+        edges[: clique.shape[0]] = clique
+        mark = np.empty(n, dtype=np.int64)
+        used = kernels.attach(words, edges.reshape(-1), clique.size, attach, n,
+                              attach, mark)
+        return used, edges
+
+    @staticmethod
+    def words(seed, count):
+        return generators._words(generators.canonical_rng(seed).bit_generator, count)
+
+    @pytest.mark.parametrize("attach", [1, 2, 3, 4, 8])
+    @pytest.mark.parametrize("size", ["smallest", 500])
+    def test_tiers_write_the_same_edges(self, attach, size):
+        from repro.core.kernels_jit import python_provider
+
+        n = attach + 1 if size == "smallest" else size
+        words = self.words(attach, 4 * n * attach + 64)
+        used, edges = self.run(python_provider(), n, attach, words)
+        assert used >= (n - attach) * attach
+        want = self.run(self.compiled(), n, attach, words)
+        assert want[0] == used
+        assert np.array_equal(want[1], edges)
+        # Each new vertex takes `attach` distinct earlier targets.
+        rows = edges[attach * (attach - 1) // 2:].reshape(n - attach, attach, 2)
+        new = np.repeat(np.arange(attach, n), attach).reshape(n - attach, attach)
+        assert np.array_equal(rows[:, :, 0], new)
+        assert (rows[:, :, 1] < new).all()
+        ordered = np.sort(rows[:, :, 1], axis=1)
+        assert (ordered[:, 1:] != ordered[:, :-1]).all()
+
+    @pytest.mark.parametrize("attach", [1, 3, 8])
+    def test_words_run_out_at_the_same_point(self, attach):
+        from repro.core.kernels_jit import python_provider
+
+        n = 60
+        words = self.words(attach + 10, 4 * n * attach + 64)
+        used, _ = self.run(python_provider(), n, attach, words)
+        for cut in (0, used // 2, used - 1):
+            spec = self.run(python_provider(), n, attach, words[:cut])
+            compiled = self.run(self.compiled(), n, attach, words[:cut])
+            assert spec[0] == compiled[0] == -1
+            assert np.array_equal(compiled[1], spec[1])
+        assert self.run(self.compiled(), n, attach, words[:used])[0] == used
+
+    def test_c_tier_rejects_short_buffers(self):
+        from repro.core.kernels_cc import cc_provider
+
+        kernels = cc_provider()
+        if kernels is None:
+            pytest.skip("no C compiler on this machine")
+        words = self.words(0, 64)
+        ends = np.zeros(2 * (3 + 4 * 3), dtype=np.int64)
+        with pytest.raises((TypeError, ValueError)):
+            kernels.attach(words, ends[:-1], 6, 3, 7, 3, np.empty(7, dtype=np.int64))
+        with pytest.raises((TypeError, ValueError)):
+            kernels.attach(words, ends, 6, 3, 7, 3, np.empty(6, dtype=np.int64))
+        with pytest.raises((TypeError, ValueError)):
+            kernels.attach(words.astype(np.int32), ends, 6, 3, 7, 3,
+                           np.empty(7, dtype=np.int64))
+
+    def test_python_floor_builds_the_compiled_graph(self, monkeypatch):
+        from repro.core.kernels_jit import get_provider, reset_provider_cache
+
+        self.compiled()
+        sizes = ((300, 3), (80, 1))
+        want = [generators.power_law_cluster(n, a, seed=4) for n, a in sizes]
+        monkeypatch.setenv("REPRO_JIT_DISABLE", "numba,cc")
+        reset_provider_cache()
+        try:
+            assert get_provider() is None
+            got = [generators.power_law_cluster(n, a, seed=4) for n, a in sizes]
+        finally:
+            monkeypatch.undo()
+            reset_provider_cache()
+        assert got == want
+
+    def test_more_words_are_drawn_when_the_first_batch_runs_out(self):
+        # n = attach + 1: the one new vertex collects all of K_attach, about
+        # attach * H(attach) draws, far beyond the first batch of
+        # attach + attach // 8 + 64 words.
+        attach = 120
+        g = generators.power_law_cluster(attach + 1, attach, seed=2)
+        assert g == generators.complete_graph(attach + 1)

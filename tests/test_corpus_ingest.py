@@ -3,6 +3,7 @@
 import gzip
 import json
 import os
+import pathlib
 
 import numpy as np
 import pytest
@@ -11,7 +12,13 @@ from hypothesis import strategies as st
 
 from repro.congest.graph import Graph, GraphError, GraphFormatError
 from repro.corpus import cache, file_spec, graph_info, ingest, load_file_graph, parse_edge_list
-from repro.corpus.ingest import build_graph
+from repro.corpus.ingest import (
+    ParsedEdgeList,
+    _parse_lines,
+    _parse_regular,
+    _relabel,
+    build_graph,
+)
 
 
 @pytest.fixture(autouse=True)
@@ -111,6 +118,195 @@ class TestParseEdgeList:
     def test_missing_file_raises_oserror(self, tmp_path):
         with pytest.raises(OSError):
             parse_edge_list(tmp_path / "absent.txt")
+
+    @pytest.mark.parametrize("token", ["99999999999999999999", str(2**63), str(-2**63 - 1)])
+    def test_id_outside_int64_names_line(self, tmp_path, token):
+        path = write(tmp_path, f"0 1\n2 {token}\n")
+        with pytest.raises(GraphFormatError) as excinfo:
+            parse_edge_list(path)
+        assert excinfo.value.line == 2
+        assert "edges.txt:2" in str(excinfo.value)
+
+    def test_int64_extremes_accepted(self, tmp_path):
+        parsed = parse_edge_list(write(tmp_path, f"{-2**63} 0\n0 {2**63 - 1}\n"))
+        assert (parsed.meta["id_min"], parsed.meta["id_max"]) == (-2**63, 2**63 - 1)
+        assert parsed.edges.tolist() == [[0, 1], [1, 2]]
+
+    def test_bare_carriage_returns_end_lines(self, tmp_path):
+        path = tmp_path / "mac.txt"
+        path.write_bytes(b"# old Mac line ends\r0 1\r1 2\r2 0\r")
+        parsed = parse_edge_list(path)
+        assert parsed.edges.tolist() == [[0, 1], [1, 2], [2, 0]]
+        assert parsed.lines.tolist() == [2, 3, 4]
+
+
+# --------------------------------------------------------------------------- #
+# The regular fast path against the per-line loop
+# --------------------------------------------------------------------------- #
+
+
+def outcome(parse):
+    """A parse's result, or its error's message and line."""
+    try:
+        return parse()
+    except GraphFormatError as exc:
+        return ("GraphFormatError", str(exc), exc.line)
+
+
+def assert_same_parse(got, want):
+    assert isinstance(got, type(want))
+    if not isinstance(want, ParsedEdgeList):
+        assert got == want
+        return
+    assert got.n == want.n and type(got.n) is int
+    assert got.edges.dtype == want.edges.dtype and got.edges.shape == want.edges.shape
+    assert np.array_equal(got.edges, want.edges)
+    assert got.lines.dtype == want.lines.dtype and np.array_equal(got.lines, want.lines)
+    assert got.meta == want.meta
+    assert [type(v) for v in got.meta.values()] == [type(v) for v in want.meta.values()]
+
+
+def write_bytes(tmp_path, data, name="edges.txt"):
+    path = tmp_path / name
+    path.write_bytes(gzip.compress(data) if name.endswith(".gz") else data)
+    return path
+
+
+_NOT_INT64 = [str(10**19 + 7), str(2**63), str(-2**63 - 1), "0" * 19 + "5"]
+
+
+@st.composite
+def dialect_files(draw):
+    """``(file name, bytes)`` in the dialects the parser meets, regular or not.
+
+    Every irregularity is one unlikely draw, so about a third of the files
+    stay regular and take the fast path.
+    """
+    rare = st.integers(0, 11).map(lambda x: x == 0)
+    sep = draw(st.sampled_from([" ", "\t", ",", ";", ", ", " \t", "  "]))
+    width = draw(st.integers(2, 4))
+    extra = draw(st.sampled_from(["int", "int", "int", "int", "float", "word"]))
+    signed, zeros, huge, loops, pad = (draw(rare) for _ in range(5))
+    high = draw(st.sampled_from([3, 40, 10**6, 10**17]))
+
+    def token(value):
+        text = str(value)
+        if signed and value >= 0 and draw(st.booleans()):
+            text = "+" + text
+        if zeros and draw(st.booleans()):
+            text = "00" + text
+        return text
+
+    def data_line():
+        u = draw(st.integers(-high if signed else 0, high))
+        v = u if loops and draw(rare) else draw(st.integers(-high if signed else 0, high))
+        if v == u and not loops:
+            v += 1
+        fields = [token(u), token(v)]
+        if huge and draw(rare):
+            fields[draw(st.integers(0, 1))] = draw(st.sampled_from(_NOT_INT64))
+        for _ in range(width - 2):
+            fields.append({"int": token(draw(st.integers(0, 99))),
+                           "float": "0.25", "word": "w"}[extra])
+        text = sep.join(fields)
+        return f" {text}\t" if pad and draw(rare) else text
+
+    preamble = draw(st.lists(st.sampled_from(
+        ["# comment", "% comment", "// comment", "", "   ", "#"]), max_size=3))
+    header = draw(st.sampled_from([None, None, "source,target", "FromNodeId\tToNodeId",
+                                   "u v weight", "a b", "1 x"]))
+    if header is not None:
+        preamble.insert(draw(st.integers(0, len(preamble))), header)
+        if draw(rare):
+            preamble.append("second header")
+    body = [data_line() for _ in range(draw(st.integers(0, 12)))]
+    if body and draw(rare):  # one irregular line mid-file
+        body.insert(draw(st.integers(0, len(body))), draw(st.sampled_from(
+            ["# mid-file comment", "", "  ", "5", "a b", "1 2 3 4 5", "1-2 3",
+             "- 3", "+ 3", "1 2 \u00e9", "3;;4", ",,", "7 8 9"])))
+    lines = preamble + body
+    newline = draw(st.sampled_from(["\n", "\n", "\n", "\r\n", "\r"]))
+    text = newline.join(lines)
+    if draw(st.booleans()):
+        text += newline
+    if draw(rare):
+        text += draw(st.sampled_from(["\n\n", "  \n", "\r\n\r\n", "\n\r"]))
+    data = text.encode("utf-8")
+    if draw(rare):
+        data += b"3 4\xff\n"
+    name = draw(st.sampled_from(["edges.txt", "edges.txt", "edges.csv", "edges.txt.gz"]))
+    return name, data
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=dialect_files(), drop_self_loops=st.booleans())
+def test_fast_path_equals_loop(tmp_path_factory, case, drop_self_loops):
+    name, data = case
+    path = write_bytes(tmp_path_factory.mktemp("dialect"), data, name)
+    loop = outcome(lambda: _parse_lines(path, drop_self_loops))
+    fast = _parse_regular(path)
+    if fast is not None:
+        assert_same_parse(fast, loop)
+    assert_same_parse(outcome(lambda: parse_edge_list(path, drop_self_loops)), loop)
+
+
+@pytest.mark.parametrize("name,data", [
+    ("snap.txt", b"# Nodes: 4\n# FromNodeId\tToNodeId\n1\t2\n2\t3\n4\t1\n"),
+    ("e.csv", b"source,target\r\n0,1\r\n1,2\r\n"),
+    ("e.txt", b"\n% konect\n\n 3;7;1\n7;5;-2\n5;3;0"),
+    ("e.txt", b"-3 +4 9\n4 -3 8\n\n\n"),
+    ("e.txt.gz", b"u v\n10 20\n20 900\n"),
+    ("e.txt", b"0 999999999999999999\n-999999999999999999 0\n"),
+])
+def test_regular_files_take_the_fast_path(tmp_path, name, data):
+    path = write_bytes(tmp_path, data, name)
+    fast = _parse_regular(path)
+    assert fast is not None
+    assert_same_parse(fast, _parse_lines(path, False))
+
+
+@pytest.mark.parametrize("data", [
+    b"0 1\r1 2\r",                      # bare \r ends a line
+    b"0 1\n# note\n1 2\n",              # comment after the first data line
+    b"0 1\n\n1 2\n",                    # blank line after the first data line
+    b"0 1 2\n1 2\n",                    # ragged columns
+    b"0 1 0.5\n1 2 0.5\n",              # non-numeric extra column
+    b"0 1\n1 1\n",                      # self loop
+    b"0 1\n1 2 \xc3\xa9\n",             # non-ASCII
+    b"0 1\n1-2 3\n",                    # sign inside a token
+    b"0 1\n- 2\n",                      # lone sign
+    b"0 1\n2 1000000000000000000\n",    # 19 digits
+    b"a b\nc d\n0 1\n",                 # a second header
+    b"7\n",                             # one field
+])
+def test_irregular_files_fall_back_to_the_loop(tmp_path, data):
+    assert _parse_regular(write_bytes(tmp_path, data)) is None
+
+
+def test_vendored_corpus_takes_the_fast_path():
+    from repro.corpus import corpus_specs
+
+    specs = corpus_specs()
+    assert len(specs) == 5
+    for entry, spec in specs:
+        fast = _parse_regular(pathlib.Path(spec.path))
+        assert fast is not None, f"{entry.name} fell back to the per-line loop"
+        assert_same_parse(fast, _parse_lines(pathlib.Path(spec.path), False))
+
+
+@pytest.mark.parametrize("low,high,size", [
+    (0, 10, 30), (5, 50, 100), (-40, 40, 60), (0, 10**12, 50), (-10**18, 10**18, 20),
+    (-2**63, 2**63 - 1, 10),
+])
+def test_relabel_bitmap_and_unique_agree(low, high, size):
+    rng = np.random.default_rng(size)
+    raw = rng.integers(low, high, size=(size, 2), endpoint=True)
+    raw[0] = (low, high)
+    edges, n, id_min, id_max = _relabel(raw)
+    ids = np.unique(raw)
+    assert edges.dtype == np.int64
+    assert np.array_equal(edges, np.searchsorted(ids, raw))
+    assert (n, id_min, id_max) == (ids.size, low, high)
 
 
 # --------------------------------------------------------------------------- #
