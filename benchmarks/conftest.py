@@ -1,10 +1,11 @@
 """Fixtures for the benchmark harness.
 
-Each benchmark file regenerates one experiment table (E1-E10, see DESIGN.MD;
-B1 for the engine-layer backend comparison, B2 for serial-vs-parallel
-sharding) and times its core computation with pytest-benchmark.  The rendered tables are written to
+Each ``test_eN_*`` file regenerates one experiment table (E1-E10: one per
+theorem or corollary item of the paper; the algorithms and the Theorem 3.1
+substitution are documented in :mod:`repro.core.pipelines`) and times its
+core computation with pytest-benchmark.  The rendered tables are written to
 ``benchmarks/results/`` so EXPERIMENTS.md can quote exactly what the harness
-produced.
+produced; ``scripts/generate_experiments_md.py`` stitches them together.
 
 Only pytest *fixtures* belong here.  Importable helpers must live in a
 regular module instead (the tests use ``tests/helpers.py``): pytest loads
@@ -15,7 +16,6 @@ imported first.
 
 from __future__ import annotations
 
-import json
 import pathlib
 import sys
 
@@ -42,42 +42,3 @@ def record_table():
 
     return _record
 
-
-@pytest.fixture
-def machine_cores() -> int:
-    """CPU cores available to this process (what the B-series records report)."""
-    import os
-
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # pragma: no cover - non-Linux
-        return os.cpu_count() or 1
-
-
-@pytest.fixture
-def record_json():
-    """Persist a machine-readable benchmark record (``BENCH_<name>.json``).
-
-    The B-series benchmarks write one JSON file each (cells/sec, speedup,
-    instance sizes, machine cores) so the perf trajectory can be tracked
-    across commits by tooling, not just by humans reading the markdown tables.
-    Every record carries a ``backend`` field (default ``"array"``) so
-    trajectory comparisons never mix execution paths; callers override it via
-    the ``backend=`` argument or an explicit key in ``payload``.  Every record
-    also carries ``cores`` (CPU cores available to the run) and ``workers``
-    (process-pool width, default 1 = serial) under those exact keys — the same
-    names :class:`repro.engine.sink.RunManifest` uses — so B-series records
-    are comparable without per-file key archaeology.
-    """
-
-    from repro.engine.sink import machine_cores as _cores
-
-    def _record(name: str, payload: dict, backend: str = "array") -> None:
-        RESULTS_DIR.mkdir(exist_ok=True)
-        payload.setdefault("backend", backend)
-        payload.setdefault("cores", _cores())
-        payload.setdefault("workers", 1)
-        path = RESULTS_DIR / f"BENCH_{name}.json"
-        path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8")
-
-    return _record

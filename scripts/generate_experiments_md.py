@@ -1,13 +1,15 @@
-"""Regenerate EXPERIMENTS.md from the tables recorded by the benchmark harness.
+"""Regenerate EXPERIMENTS.md from the E1-E10 tables the benchmark harness records.
 
 Usage::
 
-    python -m pytest benchmarks/ --benchmark-only -q   # writes benchmarks/results/*.md
-    python scripts/generate_experiments_md.py          # stitches EXPERIMENTS.md
+    python -m pytest benchmarks -k regenerate --override-ini='testpaths=' \\
+        --benchmark-disable -q                  # writes benchmarks/results/E*.md
+    python scripts/generate_experiments_md.py  # stitches EXPERIMENTS.md
 
-The per-experiment commentary below states what the paper claims, what we
-measure, and whether the shape holds; the numbers are pasted verbatim from
-``benchmarks/results/``.
+Both steps are deterministic, so re-running them on an unchanged tree leaves
+``git diff`` empty (CI checks this).  The per-experiment commentary below
+states what the paper claims, what we measure, and whether the shape holds;
+the numbers are pasted verbatim from ``benchmarks/results/``.
 """
 
 from __future__ import annotations
@@ -26,8 +28,9 @@ paper with no empirical tables or figures; its evaluation is the set of
 theorems.  Every experiment below therefore reproduces one theorem / corollary
 item: we run the algorithm on the round-synchronous CONGEST simulator, measure
 rounds / colors / structural guarantees, and put the paper's bound next to the
-measurement.  Tables are produced by `pytest benchmarks/ --benchmark-only`
-(which writes `benchmarks/results/*.md`) and stitched together by
+measurement.  Tables are produced by
+`python -m pytest benchmarks -k regenerate --override-ini='testpaths=' --benchmark-disable`
+(which writes `benchmarks/results/E*.md`) and stitched together by
 `python scripts/generate_experiments_md.py`; the small-instance versions of the
 same tables are asserted in the test suite (`tests/test_analysis.py`).
 
@@ -45,7 +48,8 @@ Reading guide:
 * One documented substitution: the Theorem 3.1 black box ([Bar16, BEG18]:
   O(Delta) colors in O(sqrt(Delta)) rounds) is replaced by the paper's own
   k = 1 algorithm (O(Delta) colors in O(Delta) rounds).  This affects measured
-  rounds of E7/E8 (noted there) and nothing else.  See DESIGN.md.
+  rounds of E7/E8 (noted there) and nothing else.  See the `o_delta_coloring`
+  entry of `repro.core.pipelines`.
 
 ### Multi-worker sweeps
 
@@ -67,8 +71,8 @@ python -m repro batch --task delta_plus_one \\
 cells already recorded (the file's manifest is checked, so resuming a
 different sweep into the file is rejected).  The data-dependent, cell-by-cell
 parts of E2/E5/E8/E9/E10 stay serial by construction; the grid sweeps of
-E1/E3/E6/E7 and all `repro batch` runs shard.  B2 below records the measured
-serial-vs-parallel wall-clock.
+E1/E3/E6/E7 and all `repro batch` runs shard.  Sweep throughput is measured
+by the `sweep` workload of `perfbench/`.
 
 ### Fault-tolerant sweeps
 
@@ -136,7 +140,7 @@ COMMENTARY = {
     "E3_delta_squared": (
         "E3 — Corollary 1.2(3): Delta^2 colors in O(1) rounds",
         "Claim: with k = ceil(Delta/16) the algorithm needs only O(1) rounds (at most 256 by the\n"
-        "proof's constants).  Measured: 2-3 rounds across Delta = 8..32.  (For Delta < 16 the\n"
+        "proof's constants).  Measured: 2-4 rounds across Delta = 8..32.  (For Delta < 16 the\n"
         "corollary's Delta^2 color constant is not meaningful because k = 1; the color space is then\n"
         "bounded by 16*Delta instead.)",
     ),
@@ -157,8 +161,10 @@ COMMENTARY = {
         "E6 — the (Delta+1)-coloring pipeline (Section 3.1)",
         "Claim: unique IDs -> Linial -> k=1 mother algorithm -> color-class removal gives a proper\n"
         "(Delta+1)-coloring in O(Delta) + log* n rounds.  Measured: colors used <= Delta+1 always;\n"
-        "total rounds are dominated by the two O(Delta) stages and grow only mildly with n (through\n"
-        "log* n and through how many of the O(Delta) color values actually occur).",
+        "total rounds are dominated by the color-class removal stage, which spends one round per\n"
+        "color value above Delta+1 that actually occurs.  At fixed Delta more of the O(Delta)\n"
+        "mother colors occur on larger graphs, so the measured rounds rise with n (roughly doubling\n"
+        "from n = 100 to n = 1000) while staying within the O(Delta) bound; Linial adds log* n.",
     ),
     "E7_theorem13": (
         "E7 — Theorem 1.3: O(Delta^{1+eps}) colors",
@@ -186,128 +192,30 @@ COMMENTARY = {
         "for Delta = 2, 3, 4 by the conflict-graph checker in the test suite\n"
         "(tests/test_core_one_round.py::TestLemma43Impossibility).",
     ),
-    "B1_batch_backends": (
-        "B1 — engine layer: array backend vs the reference scheduler",
-        "Not a paper claim but an implementation guarantee: the vectorized array backend of the\n"
-        "execution-engine layer (see ARCHITECTURE.md) produces identical rounds and colors per cell\n"
-        "while running the 20-cell BatchRunner sweep several times faster than the per-node\n"
-        "reference simulator.  The parity is asserted inside the benchmark and property-tested in\n"
-        "tests/test_engine_parity.py.",
-    ),
-    "B3_kernels": (
-        "B3 — frontier-compacted kernels: pre-compaction vs compacted array backend",
-        "An implementation guarantee (see ARCHITECTURE.md, \"Kernel compaction\"): the array\n"
-        "kernels gather only the CSR entries incident to still-active vertices, count conflicts\n"
-        "with a single 2-D scatter-add over the compacted edges, evaluate polynomial sequences\n"
-        "lazily, and bucket removal classes with one argsort — so every hot round costs\n"
-        "O(active degree) instead of O(|E|).  The benchmark keeps the pre-compaction kernels\n"
-        "verbatim and asserts bit-identical colors and round counts per cell; the machine-readable\n"
-        "record (cells/sec, speedup, cores) lands in benchmarks/results/BENCH_B3.json.",
-    ),
-    "B4_scale": (
-        "B4 — million-vertex scale: array-native construction and the shared graph plane",
-        "An implementation guarantee (see ARCHITECTURE.md, \"Shared-memory graph plane &\n"
-        "workspaces\"): every generator emits an (m, 2) edge array consumed by the vectorized\n"
-        "CSR constructor (integer-key sorts; no Python edge loop), so n = 10^6 graphs build in\n"
-        "fractions of a second — the benchmark keeps the pre-change tuple-list path verbatim and\n"
-        "asserts a >= 5x speedup with bit-identical CSR arrays.  Parallel sweeps publish each\n"
-        "graph once through multiprocessing.shared_memory; workers attach zero-copy read-only\n"
-        "views, so records stay byte-identical to the serial run while per-worker graph memory\n"
-        "is eliminated (asserted via segment sharing, plus a no-leak check on /dev/shm).  The\n"
-        "machine-readable record lands in benchmarks/results/BENCH_B4.json.",
-    ),
-    "B5_jit": (
-        "B5 — compiled jit backend: array vs numba/C kernels",
-        "An implementation guarantee (see ARCHITECTURE.md, \"JIT backend\"): backend=\"jit\"\n"
-        "compiles the three engine primitives into fused per-vertex loops over the raw CSR\n"
-        "triplet — numba @njit(parallel=True) when numba is installed, an OpenMP C extension\n"
-        "otherwise — and never materialises the (active_edges x trials) intermediates.  The\n"
-        "benchmark asserts bit-identical colors and round counts per kernel and per cell, a\n"
-        ">= 3x end-to-end speedup over the array backend on the B3 sweep (warm, compile time\n"
-        "excluded and reported separately), and records the proportional drop on B4's n = 10^6\n"
-        "per-cell wall-clock.  With no compiled tier the engine degrades to the array path with\n"
-        "a single warning and the benchmark records fallback: true instead of asserting the\n"
-        "bar.  The machine-readable record lands in benchmarks/results/BENCH_B5.json.",
-    ),
-    "B6_serve": (
-        "B6 — job server: concurrent clients over HTTP",
-        "The service layer (see ARCHITECTURE.md, \"Job server\"): repro serve accepts JobSpec\n"
-        "JSON over POST /jobs, validates it against the registry, executes on a bounded worker\n"
-        "pool through the same run_spec machinery as the CLI, and content-addresses every job by\n"
-        "its canonical spec hash — a resubmission of a finished spec is a cache hit answered\n"
-        "from the store without re-execution (attempts unchanged).  The benchmark drives an\n"
-        "in-process server with concurrent clients and records submit->done latency (p50/p99),\n"
-        "sustained jobs/sec, and cache-hit latency against deliberately conservative single-core\n"
-        "bars (p99 < 30 s, > 0.2 jobs/s, cache hit < 2 s).  The machine-readable record lands in\n"
-        "benchmarks/results/BENCH_B6.json; CI's serve-smoke job re-checks the bars from it.",
-    ),
-    "B2_parallel": (
-        "B2 — parallel sharding: serial vs a 4-worker process pool",
-        "Also an implementation guarantee: sharding a parity-checked 24-cell sweep across 4 worker\n"
-        "processes yields records identical to the serial sweep modulo the wall-clock field\n"
-        "(asserted in the benchmark and in tests/test_golden_records.py) and beats the serial\n"
-        "wall-clock whenever more than one CPU core is available.  On a single-core recording\n"
-        "environment the table demonstrates bounded sharding overhead rather than the multi-core\n"
-        "speedup; CI re-runs the sweep on multi-core runners.",
-    ),
-    "B7_fleet": (
-        "B7 — fleet-scale sweeps: deterministic shards + merge",
-        "The fleet plane (see ARCHITECTURE.md, \"Fleet-scale sweeps\"): repro batch --shard i/k\n"
-        "partitions the cell grid by a stable hash of cell identity — worker count, machine, and\n"
-        "launch order never move a cell between shards — and repro merge validates the k shard\n"
-        "files (same spec/grid hash, disjoint and complete coverage) before joining them into a\n"
-        "file byte-identical to the unsharded run modulo the wall-clock field (asserted).  The\n"
-        "benchmark runs the shards back-to-back on one box, so the honest bar is bounded overhead\n"
-        "(<= 2.5x including the merge) rather than a speedup; a real fleet runs shards\n"
-        "concurrently on separate machines.  The machine-readable record lands in\n"
-        "benchmarks/results/BENCH_B7.json; CI's fleet-smoke job re-checks the bars from it.",
-    ),
-    "B7_serve": (
-        "B7 — job server execution planes: thread vs process",
-        "repro serve --execution process dispatches each job's cells through the crash-containing\n"
-        "process pool of the engine layer (per-job worker budget = cores split across job slots,\n"
-        "floored at 2) while keeping the durable-sink, progress, and SSE semantics of the thread\n"
-        "plane; --execution auto picks process on multi-core machines and /healthz reports the\n"
-        "resolved mode.  The benchmark measures jobs/sec over multi-cell jobs on both planes:\n"
-        "on one core only conservative absolute bars apply (the pool is pure overhead), on\n"
-        "multi-core machines the process plane must not lose to the thread plane.",
-    ),
-    "B8_corpus": (
-        "B8 — corpus ingestion: cold parse vs warm content-addressed cache",
-        "The corpus plane (see ARCHITECTURE.md, \"Corpus & ingestion\"): repro corpus sweeps the\n"
-        "default-runnable algorithm zoo over real edge-list graphs, re-verifying every output\n"
-        "with repro.verify.  Ingestion caches each file's CSR arrays in an uncompressed .npz\n"
-        "keyed by the SHA-256 of the file's bytes, so a warm ingest memory-maps the arrays and\n"
-        "never re-parses the text — the benchmark asserts the warm path is >= 10x faster than\n"
-        "the cold parse on a ~200k-row SNAP-style export (comments, 1-based ids, both-direction\n"
-        "duplicates).  The second measurement sweeps the whole vendored corpus/ through a\n"
-        "two-algorithm zoo with verification on, in cells/sec.  The machine-readable record\n"
-        "lands in benchmarks/results/BENCH_B8.json; CI's corpus-smoke job re-runs the vendored\n"
-        "sweep and checks the summary against the committed golden.",
-    ),
     "E10_baselines": (
         "E10 — baselines",
         "The mother algorithm at k = 1 matches the locally-iterative (BEG18) regime; adding\n"
         "color-class removal gives Delta+1 colors in O(Delta) total rounds, against\n"
         "O(Delta log Delta) for the classical Kuhn-Wattenhofer halving from Delta^2 colors, O(log n)\n"
         "rounds for the randomized Luby-style baseline (not deterministic), and n rounds for the\n"
-        "sequential greedy.  Who-wins matches the paper's narrative: the simple deterministic\n"
-        "trade-off subsumes the older deterministic baselines.",
+        "sequential greedy.  These are asymptotic orders, and at Delta = 16 the measured order\n"
+        "differs: Kuhn-Wattenhofer halving (about log Delta = 4 phases) needs about half the rounds of\n"
+        "mother + removal, whose removal stage spends one round per occurring color value above\n"
+        "Delta+1.  What the mother algorithm adds is the trade-off itself: k = 4 and k = 16 finish\n"
+        "in one round with O(k Delta) colors.",
     ),
 }
 
 ORDER = [
     "E1_linial_one_round", "E2_rounds_vs_k", "E3_delta_squared", "E4_outdegree",
     "E5_defective", "E6_delta_plus_one", "E7_theorem13", "E8_ruling_sets",
-    "E9_one_round", "E10_baselines", "B1_batch_backends", "B2_parallel",
-    "B3_kernels", "B4_scale", "B5_jit", "B6_serve", "B7_fleet", "B7_serve",
-    "B8_corpus",
+    "E9_one_round", "E10_baselines",
 ]
 
 
 def main() -> None:
     if not RESULTS.exists():
-        sys.exit("benchmarks/results/ not found — run `pytest benchmarks/ --benchmark-only` first")
+        sys.exit("benchmarks/results/ not found — run the regenerate benchmarks first")
     parts = [PREAMBLE]
     for name in ORDER:
         path = RESULTS / f"{name}.md"

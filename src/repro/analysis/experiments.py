@@ -332,7 +332,8 @@ def run_e7(
         )
     table.add_note(
         "The Theorem 3.1 black box ([Bar16, BEG18]) is substituted by the k=1 mother algorithm; "
-        "measured rounds follow the substituted bound, colors follow the paper bound (see DESIGN.md)."
+        "measured rounds follow the substituted bound, colors follow the paper bound "
+        "(see repro.core.pipelines)."
     )
     return table
 
@@ -371,7 +372,7 @@ def run_e8(
         )
     table.add_note(
         "The ruling-phase rounds follow Lemma 3.2 exactly; the end-to-end advantage of Theorem 1.5 "
-        "depends on the Theorem 3.1 black box we substitute (see DESIGN.md)."
+        "depends on the Theorem 3.1 black box we substitute (see repro.core.pipelines)."
     )
     return table
 

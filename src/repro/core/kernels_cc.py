@@ -246,7 +246,8 @@ def build_library(cache_dir: str | os.PathLike | None = None
 
     Returns ``(path, info)`` with ``info`` carrying ``cached`` (disk-cache
     hit), ``compile_seconds`` (0.0 on a hit), ``openmp`` and ``compiler`` —
-    B5 reports cold-compile cost separately from warm kernel timings.
+    the jit engine's ``describe()`` reports them under ``detail``, so the
+    cold-compile cost stays visible apart from warm kernel timings.
     """
     compiler = find_compiler()
     if compiler is None:

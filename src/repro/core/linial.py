@@ -20,7 +20,7 @@ from repro.congest.ids import assign_unique_ids, validate_proper_coloring
 from repro.core.corollaries import linial_color_reduction
 from repro.core.results import ColoringResult
 from repro.engine.base import Engine
-from repro.engine.registry import resolve_backend
+from repro.engine.registry import get_engine
 
 __all__ = ["linial_coloring", "iterated_color_reduction"]
 
@@ -32,7 +32,6 @@ def iterated_color_reduction(
     target_colors: int | None = None,
     max_iterations: int = 64,
     backend: str | Engine = "reference",
-    vectorized: bool | None = None,
     validate_input: bool = True,
 ) -> ColoringResult:
     """Iterate the one-round reduction until the color space stops shrinking.
@@ -54,7 +53,7 @@ def iterated_color_reduction(
         ``rounds`` counts one round per reduction step (the paper's
         ``O(log* n)``); metadata records the sequence of color-space sizes.
     """
-    engine = resolve_backend(backend, vectorized)
+    engine = get_engine(backend)
     delta = max(1, graph.max_degree)
     if target_colors is None:
         target_colors = 256 * delta * delta
@@ -105,7 +104,6 @@ def linial_coloring(
     seed: int | None = None,
     target_colors: int | None = None,
     backend: str | Engine = "reference",
-    vectorized: bool | None = None,
 ) -> ColoringResult:
     """Compute an ``O(Delta^2)``-coloring from unique IDs in ``O(log* n)`` rounds.
 
@@ -129,7 +127,7 @@ def linial_coloring(
     space = int(id_space) if id_space is not None else (int(ids.max()) + 1 if ids.size else 1)
     return iterated_color_reduction(
         graph, ids, space, target_colors=target_colors,
-        backend=resolve_backend(backend, vectorized),
+        backend=backend,
     )
 
 

@@ -11,7 +11,7 @@
   substitute our own ``k = 1`` mother algorithm, which achieves the same
   ``O(Delta)`` color bound in ``O(Delta)`` (instead of ``O(sqrt(Delta))``)
   rounds.  The substitution is recorded in the result metadata and discussed in
-  DESIGN.md / EXPERIMENTS.md — it affects measured round counts of
+  EXPERIMENTS.md (E7, E8) — it affects measured round counts of
   Theorem 1.3 / 1.5 but none of the color-count or structural guarantees.
 
 * :func:`theorem13_coloring` — Theorem 1.3: an ``O(Delta^{1+eps})``-coloring
@@ -24,10 +24,10 @@
   ``O(sqrt(Delta / k))``-style trade-off obtained by instantiating Theorem 1.3
   with ``eps = log_Delta k``.
 
-Every pipeline accepts ``backend="reference" | "array" | Engine`` and runs all
-its stages through the selected execution engine (:mod:`repro.engine`); the
-two built-in backends produce identical colors and round counts.  The legacy
-``vectorized=`` flag is kept as a deprecated alias (``True`` -> ``"array"``).
+Every pipeline accepts ``backend="reference" | "array" | "jit" | Engine`` and
+runs all its stages through the selected execution engine
+(:mod:`repro.engine`); the built-in backends produce identical colors and
+round counts.
 """
 
 from __future__ import annotations
@@ -43,7 +43,7 @@ from repro.core.corollaries import defective_coloring, kdelta_coloring
 from repro.core.linial import linial_coloring
 from repro.core.results import ColoringResult
 from repro.engine.base import Engine
-from repro.engine.registry import resolve_backend
+from repro.engine.registry import get_engine
 
 __all__ = [
     "delta_plus_one_coloring",
@@ -58,7 +58,6 @@ def delta_plus_one_coloring(
     ids: np.ndarray | None = None,
     seed: int | None = None,
     backend: str | Engine = "reference",
-    vectorized: bool | None = None,
 ) -> ColoringResult:
     """The full ``(Delta + 1)``-coloring pipeline in ``O(Delta) + log* n`` rounds.
 
@@ -70,7 +69,7 @@ def delta_plus_one_coloring(
     interior stages consume colorings that are proper by construction and
     skip re-validation.
     """
-    engine = resolve_backend(backend, vectorized)
+    engine = get_engine(backend)
     delta = max(1, graph.max_degree)
     stage1 = linial_coloring(graph, ids=ids, seed=seed, backend=engine)
     stage2 = kdelta_coloring(
@@ -99,7 +98,6 @@ def o_delta_coloring(
     input_colors: np.ndarray,
     m: int,
     backend: str | Engine = "reference",
-    vectorized: bool | None = None,
     validate_input: bool = True,
 ) -> ColoringResult:
     """An ``O(Delta)``-coloring of ``graph`` given a proper ``m``-input coloring.
@@ -111,7 +109,7 @@ def o_delta_coloring(
     flagged in the metadata so downstream results (Theorem 1.3 / 1.5) can report
     both the paper bound and the measured rounds honestly.
     """
-    engine = resolve_backend(backend, vectorized)
+    engine = get_engine(backend)
     result = kdelta_coloring(
         graph, input_colors, m, k=1, backend=engine, validate_input=validate_input
     )
@@ -129,7 +127,6 @@ def theorem13_coloring(
     epsilon: float = 0.5,
     low_degree_coloring: Callable[[Graph, np.ndarray, int], ColoringResult] | None = None,
     backend: str | Engine = "reference",
-    vectorized: bool | None = None,
 ) -> ColoringResult:
     """Theorem 1.3: an ``O(Delta^{1+eps})``-coloring.
 
@@ -159,7 +156,7 @@ def theorem13_coloring(
     """
     if not (0.0 < epsilon <= 1.0):
         raise ValueError(f"epsilon must be in (0, 1], got {epsilon}")
-    engine = resolve_backend(backend, vectorized)
+    engine = get_engine(backend)
     delta = max(1, graph.max_degree)
     input_colors = np.asarray(input_colors, dtype=np.int64)
     validate_proper_coloring(graph, input_colors, m)
@@ -229,7 +226,6 @@ def corollary14_coloring(
     m: int,
     k: int,
     backend: str | Engine = "reference",
-    vectorized: bool | None = None,
 ) -> ColoringResult:
     """Corollary 1.4: an ``O(k Delta)``-coloring via Theorem 1.3 with ``eps = log_Delta k``."""
     delta = max(1, graph.max_degree)
@@ -241,7 +237,7 @@ def corollary14_coloring(
         epsilon = min(1.0, math.log(k) / math.log(delta))
     return theorem13_coloring(
         graph, input_colors, m, epsilon=max(epsilon, 1e-9),
-        backend=resolve_backend(backend, vectorized),
+        backend=backend,
     )
 
 
@@ -278,7 +274,7 @@ def _run_delta_plus_one(w, engine):
     "theorem13",
     summary="O(Delta^(1+eps))-coloring (defective split + per-class coloring)",
     guarantee="proper; O(Delta^(1+eps)) colors, rounds follow the substituted "
-              "Theorem 3.1 bound (see DESIGN.md)",
+              "Theorem 3.1 bound (see repro.core.pipelines)",
     source="Theorem 1.3",
     params=[ParamSpec("epsilon", float, default=0.5,
                       help="trade-off exponent in (0, 1]")],

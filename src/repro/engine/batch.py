@@ -154,25 +154,6 @@ class Workload:
 # --------------------------------------------------------------------------- #
 
 
-def __getattr__(name: str):
-    if name == "TASKS":
-        # The pre-registry task table, kept as a deprecated live view.
-        import warnings
-
-        warnings.warn(
-            "repro.engine.batch.TASKS is deprecated; use the algorithm registry "
-            "instead: repro.api.algorithm_names() lists the names, "
-            "repro.api.get_algorithm(name) returns the spec (its .runner is the "
-            "task callable)",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        from repro.api.registry import tasks_view
-
-        return tasks_view()
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
 # --------------------------------------------------------------------------- #
 # Results
 # --------------------------------------------------------------------------- #

@@ -22,7 +22,6 @@ __all__ = [
     "available_backends",
     "describe_backends",
     "ensure_known_backend",
-    "resolve_backend",
 ]
 
 #: Factories for the built-in backends (instantiated with defaults on demand).
@@ -93,35 +92,3 @@ def get_engine(backend: str | Engine = "reference") -> Engine:
         _DEFAULT_INSTANCES[backend] = factory()
     return _DEFAULT_INSTANCES[backend]
 
-
-def resolve_backend(backend: str | Engine, vectorized: bool | None = None) -> Engine:
-    """Resolve ``backend`` honoring the deprecated ``vectorized`` flag.
-
-    ``vectorized=True/False`` predates the engine layer; when it is passed
-    explicitly it overrides ``backend`` (``True`` -> ``"array"``, ``False`` ->
-    ``"reference"``) so pre-engine call sites keep their exact behavior —
-    with a :class:`DeprecationWarning` pointing at the replacement.  A bare
-    bool arriving *as* ``backend`` (a legacy caller passing the old
-    positional ``vectorized`` argument) is honored and warned about the same
-    way.
-    """
-    if vectorized is not None:
-        _warn_vectorized(vectorized)
-        return get_engine("array" if vectorized else "reference")
-    if isinstance(backend, bool):
-        _warn_vectorized(backend)
-        return get_engine("array" if backend else "reference")
-    return get_engine(backend)
-
-
-def _warn_vectorized(value: bool) -> None:
-    import warnings
-
-    replacement = "array" if value else "reference"
-    warnings.warn(
-        f"the vectorized= flag is deprecated; pass backend={replacement!r} instead "
-        f"(or solve through the unified API: repro.api.solve with "
-        f"Run(..., backend={replacement!r}))",
-        DeprecationWarning,
-        stacklevel=3,
-    )

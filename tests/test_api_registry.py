@@ -16,7 +16,7 @@ from repro.api.registry import (
     validate_params,
 )
 
-#: The task names of the pre-registry TASKS dict — all must stay reachable.
+#: The task names from before the registry existed — all must stay reachable.
 LEGACY_TASKS = [
     "linial_reduction", "kdelta", "delta_squared", "outdegree",
     "defective_one_round", "defective", "linial", "delta_plus_one",
@@ -144,24 +144,3 @@ class TestRegistration:
         finally:
             registry._REGISTRY["kdelta"] = original
 
-
-class TestDeprecatedTasksView:
-    def test_tasks_import_warns_once_and_matches_registry(self):
-        import importlib
-
-        batch = importlib.import_module("repro.engine.batch")
-        with pytest.warns(DeprecationWarning, match="repro.engine.batch.TASKS is deprecated"):
-            tasks = batch.TASKS
-        assert set(tasks) == set(algorithm_names())
-        for name, runner in tasks.items():
-            assert runner is get_algorithm(name).runner
-
-    def test_from_import_also_warns(self):
-        with pytest.warns(DeprecationWarning):
-            from repro.engine.batch import TASKS  # noqa: F401
-
-    def test_other_missing_attributes_still_raise(self):
-        import repro.engine.batch as batch
-
-        with pytest.raises(AttributeError):
-            batch.NO_SUCH_ATTRIBUTE

@@ -162,6 +162,27 @@ class TestJitResolution:
 
         assert untimed(parallel.records) == untimed(serial.records)
 
+    def test_thread_count_does_not_change_results(self, monkeypatch, pristine_provider):
+        # Determinism under threads is by construction (no locking, no
+        # order-dependent writes), so one cell at 1 and at 4 kernel threads
+        # gives the same colors and round counts.
+        graph = generators.random_regular(4000, 16, seed=5)
+        runs = []
+        for threads in ("1", "4"):
+            monkeypatch.setenv("REPRO_NUM_THREADS", threads)
+            reset_provider_cache()
+            provider = get_provider()
+            if provider is None:
+                pytest.skip("needs a compiled jit tier")
+            result = pipelines.delta_plus_one_coloring(graph, seed=5, backend="jit")
+            runs.append((provider.threads, result))
+        (one, serial), (many, threaded) = runs
+        assert one == 1
+        if many == 1:
+            pytest.skip("only one kernel thread available")
+        assert np.array_equal(serial.colors, threaded.colors)
+        assert serial.rounds == threaded.rounds
+
 
 # --------------------------------------------------------------------------- #
 # Parity: jit engine vs array, whichever kernel tier resolved

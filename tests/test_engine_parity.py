@@ -53,13 +53,6 @@ class TestEngineResolution:
         with pytest.raises(EngineError):
             get_engine("gpu")
 
-    def test_vectorized_alias_still_selects_array_and_warns(self, petersen):
-        colors, m = make_input_coloring(petersen, seed=3)
-        with pytest.warns(DeprecationWarning, match="vectorized= flag is deprecated"):
-            legacy = pipelines.o_delta_coloring(petersen, colors, m, vectorized=True)
-        modern = pipelines.o_delta_coloring(petersen, colors, m, backend="array")
-        assert_coloring_parity(legacy, modern)
-
 
 class TestRemoveColorClassParity:
     @settings(max_examples=30, deadline=None)
