@@ -16,8 +16,9 @@ Run with::
     python examples/scheduling_outdegree.py
 
 (This example deliberately stays on the expert-level ``repro.core`` API: the
-refinement step consumes the *orientation object* of Theorem 1.1 (1), which is
-richer than the tidy record surface of ``repro.api.solve``.  See
+refinement step consumes the *orientation* of Theorem 1.1 (1) — a ``(k, 2)``
+array of ``u -> v`` rows on the result — which is richer than the tidy
+record surface of ``repro.api.solve``.  See
 ``examples/quickstart.py`` / ``frequency_assignment.py`` /
 ``ruling_set_clustering.py`` for the declarative front door.)
 """
@@ -38,16 +39,16 @@ from repro.verify.coloring import assert_proper_coloring, color_classes
 from repro.verify.orientation import orientation_outdegrees
 
 
-def refine_class_into_schedule(graph, vertices, orientation, slot_of: dict[int, int]) -> None:
+def refine_class_into_schedule(graph, vertices, out, slot_of: dict[int, int]) -> None:
     """Refine one outdegree-class against the partial schedule built so far.
 
-    Jobs of the class are processed in decreasing "responsibility" (outdegree)
-    and placed in the first slot free of conflicts with already-scheduled
-    neighbors — the centralized stand-in for the per-class list-coloring step
-    of the sublinear schedulers.  Because slots are shared across classes the
-    final schedule never needs more than ``Delta + 1`` slots.
+    Jobs of the class are processed in decreasing "responsibility" (outdegree
+    ``out[v]`` under the orientation) and placed in the first slot free of
+    conflicts with already-scheduled neighbors — the centralized stand-in for
+    the per-class list-coloring step of the sublinear schedulers.  Because
+    slots are shared across classes the final schedule never needs more than
+    ``Delta + 1`` slots.
     """
-    out = orientation_outdegrees(graph, orientation)
     order = sorted((int(v) for v in vertices), key=lambda v: -int(out[v]))
     for v in order:
         taken = {slot_of[u] for u in graph.neighbors(v) if int(u) in slot_of}
@@ -77,7 +78,7 @@ def main() -> None:
     # (the class order is the "schedule" of Section 3.1 of the paper).
     slot_of: dict[int, int] = {}
     for _, vertices in sorted(color_classes(graph, coarse.colors).items()):
-        refine_class_into_schedule(graph, vertices, coarse.orientation, slot_of)
+        refine_class_into_schedule(graph, vertices, out, slot_of)
     final_slot = np.array([slot_of[v] for v in range(graph.n)], dtype=np.int64)
 
     assert_proper_coloring(graph, final_slot)

@@ -163,12 +163,14 @@ def validate_proper_coloring(graph: Graph, colors: np.ndarray, m: int | None = N
         raise InputColoringError(
             f"color {int(colors.max())} out of range for declared m={m}"
         )
-    edges = graph.edge_array()
-    if edges.size:
-        same = colors[edges[:, 0]] == colors[edges[:, 1]]
-        if np.any(same):
-            u, v = edges[np.argmax(same)]
-            raise InputColoringError(
-                f"not a proper coloring: edge ({int(u)}, {int(v)}) is monochromatic "
-                f"with color {int(colors[u])}"
-            )
+    # Over CSR entries: the first monochromatic one has u < v and is the
+    # lexicographically first monochromatic edge.
+    src, dst = graph.src_index, graph.indices
+    same = colors[src] == colors[dst]
+    if same.any():
+        entry = int(np.argmax(same))
+        u, v = int(src[entry]), int(dst[entry])
+        raise InputColoringError(
+            f"not a proper coloring: edge ({u}, {v}) is monochromatic "
+            f"with color {int(colors[u])}"
+        )

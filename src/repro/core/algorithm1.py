@@ -146,7 +146,7 @@ def derive_orientation(
     colors: np.ndarray,
     parts: np.ndarray,
     input_colors: np.ndarray,
-) -> set[tuple[int, int]]:
+) -> np.ndarray:
     """Orientation of monochromatic edges guaranteed by Theorem 1.1 point (1).
 
     An edge ``{u, v}`` with the same output color is oriented away from the
@@ -155,22 +155,19 @@ def derive_orientation(
     out-neighbors of a vertex are therefore a subset of the at most ``d``
     conflicts it tolerated when it adopted its color, giving outdegree ``<= d``.
 
-    Vectorized: the monochromatic edges are filtered and oriented with flat
-    array operations (via the graph's cached edge-source array), so only the
-    final — typically tiny — set of oriented edges is materialised in Python.
+    Returns a ``(k, 2)`` int64 array whose row ``(u, v)`` means ``u -> v``,
+    rows in lexicographic order.  The monochromatic edges are found with
+    flat masks over the CSR entries with ``u < v``.
     """
-    edges = graph.edge_array()
-    if edges.size == 0:
-        return set()
-    u, v = edges[:, 0], edges[:, 1]
-    mono = colors[u] == colors[v]
-    if not np.any(mono):
-        return set()
-    u, v = u[mono], v[mono]
+    src, dst = graph.src_index, graph.indices
+    mono = src < dst
+    mono &= colors[src] == colors[dst]
+    u, v = src[mono], dst[mono]
     from_u = (parts[u] > parts[v]) | ((parts[u] == parts[v]) & (input_colors[u] < input_colors[v]))
-    src = np.where(from_u, u, v)
-    dst = np.where(from_u, v, u)
-    return set(zip(src.tolist(), dst.tolist()))
+    tails = np.where(from_u, u, v)
+    heads = np.where(from_u, v, u)
+    order = np.lexsort((heads, tails))
+    return np.stack([tails[order], heads[order]], axis=1)
 
 
 def run_mother_algorithm(
@@ -182,7 +179,6 @@ def run_mother_algorithm(
     params: MotherParameters | None = None,
     validate_input: bool = True,
     model: str = "CONGEST",
-    with_orientation: bool = True,
     bandwidth_factor: float = 32.0,
     strict_bandwidth: bool = False,
 ) -> ColoringResult:
@@ -205,8 +201,6 @@ def run_mother_algorithm(
         it); disable only in tight benchmark loops.
     model:
         ``"CONGEST"`` (default) or ``"LOCAL"``.
-    with_orientation:
-        Also derive the monochromatic-edge orientation (point (1)).
     bandwidth_factor / strict_bandwidth:
         CONGEST bandwidth accounting knobs, passed through to
         :class:`repro.congest.network.SynchronousNetwork`.
@@ -216,7 +210,8 @@ def run_mother_algorithm(
     ColoringResult
         ``colors`` are encoded ``(x mod k, p(x))`` pairs; ``parts[v]`` is the
         iteration in which ``v`` adopted its color; ``rounds`` is the number of
-        batch-trial iterations (``<= ceil(X/k)``).
+        batch-trial iterations (``<= ceil(X/k)``).  The orientation of point
+        (1) follows from the colors and parts: :func:`derive_orientation`.
     """
     input_colors = np.asarray(input_colors, dtype=np.int64)
     delta = max(1, graph.max_degree)
@@ -231,7 +226,6 @@ def run_mother_algorithm(
             rounds=0,
             color_space_size=params.color_space_size,
             parts=np.empty(0, dtype=np.int64),
-            orientation=set() if with_orientation else None,
             metadata={"params": params.describe()},
         )
 
@@ -252,16 +246,11 @@ def run_mother_algorithm(
     parts = np.array([out["part"] for out in run.outputs], dtype=np.int64)
     trial_rounds = int(parts.max()) if parts.size else 0
 
-    orientation = (
-        derive_orientation(graph, colors, parts, input_colors) if with_orientation else None
-    )
-
     return ColoringResult(
         colors=colors,
         rounds=trial_rounds,
         color_space_size=params.color_space_size,
         parts=parts,
-        orientation=orientation,
         metadata={
             "params": params.describe(),
             "simulator_rounds": run.rounds,

@@ -23,6 +23,7 @@ import math
 import numpy as np
 
 from repro.congest.graph import Graph
+from repro.core.algorithm1 import derive_orientation
 from repro.core.params import MotherParameters
 from repro.core.results import ColoringResult
 from repro.engine.base import Engine
@@ -45,7 +46,6 @@ def _run(
     d,
     k,
     backend: str | Engine,
-    with_orientation=True,
     params=None,
     validate_input=True,
 ):
@@ -57,7 +57,6 @@ def _run(
         d=d,
         k=k,
         params=params,
-        with_orientation=with_orientation,
         validate_input=validate_input,
     )
 
@@ -129,14 +128,20 @@ def outdegree_coloring(
 
     Runs the mother algorithm with ``k = 1`` and defect tolerance ``d = beta``;
     the orientation of Theorem 1.1 point (1) (later round -> earlier round,
-    ties by input color) has outdegree at most ``beta``.  These colorings are
-    the "arbdefective" schedules used by every sublinear-in-``Delta``
-    ``(Delta+1)``-coloring algorithm.
+    ties by input color) has outdegree at most ``beta``.  It is the one
+    result that carries ``orientation``: a ``(k, 2)`` array of ``u -> v``
+    rows (see :func:`repro.core.algorithm1.derive_orientation`).  These
+    colorings are the "arbdefective" schedules used by every
+    sublinear-in-``Delta`` ``(Delta+1)``-coloring algorithm.
     """
     delta = max(1, graph.max_degree)
     if not (1 <= beta <= delta - 1):
         raise ValueError(f"beta must satisfy 1 <= beta <= Delta - 1, got beta={beta}, Delta={delta}")
-    return _run(graph, input_colors, m, beta, 1, backend, with_orientation=True)
+    result = _run(graph, input_colors, m, beta, 1, backend)
+    result.orientation = derive_orientation(
+        graph, result.colors, result.parts, np.asarray(input_colors, dtype=np.int64)
+    )
+    return result
 
 
 def defective_coloring_one_round(
@@ -177,8 +182,7 @@ def defective_coloring(
     delta = max(1, graph.max_degree)
     if not (1 <= d <= delta - 1):
         raise ValueError(f"d must satisfy 1 <= d <= Delta - 1, got d={d}, Delta={delta}")
-    base = _run(graph, input_colors, m, d, 1, backend, with_orientation=False,
-                validate_input=validate_input)
+    base = _run(graph, input_colors, m, d, 1, backend, validate_input=validate_input)
     if base.parts is None:  # pragma: no cover - defensive
         raise RuntimeError("mother algorithm did not report parts")
     stride = int(base.parts.max(initial=0)) + 1
@@ -188,7 +192,6 @@ def defective_coloring(
         rounds=base.rounds,
         color_space_size=base.color_space_size * stride,
         parts=base.parts,
-        orientation=None,
         metadata={
             **base.metadata,
             "pair_encoding_stride": stride,
@@ -257,16 +260,10 @@ def _run_outdegree(w, engine, beta: int = 1):
     res = outdegree_coloring(w.graph, w.input_colors, w.m, beta=beta, backend=engine)
     assert_outdegree_orientation(w.graph, res.colors, res.orientation, beta)
     record = coloring_record(res)
-    sources = np.fromiter((e[0] for e in res.orientation), dtype=np.int64,
-                          count=len(res.orientation))
-    record["max outdegree"] = (
-        int(np.bincount(sources, minlength=w.graph.n).max()) if sources.size else 0
-    )
+    record["max outdegree"] = int(np.bincount(res.orientation[:, 0]).max(initial=0))
     # the orientation itself, as a canonically ordered (k, 2) artifact, so
     # external validators (e.g. the corpus sweep) can re-verify the guarantee
-    record["_orientation"] = np.array(
-        sorted(res.orientation), dtype=np.int64
-    ).reshape(-1, 2)
+    record["_orientation"] = res.orientation
     return record
 
 

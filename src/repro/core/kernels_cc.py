@@ -2,7 +2,7 @@
 system compiler, loaded via :mod:`ctypes`.
 
 When numba is not installed (the preferred tier, see
-:mod:`repro.core.kernels_jit`) but a C compiler is on PATH, the four
+:mod:`repro.core.kernels_jit`) but a C compiler is on PATH, the five
 kernels are compiled *once* from the embedded source below into a small
 shared library and called through :mod:`ctypes` — ctypes foreign calls drop
 the GIL, and the engine kernels multi-thread their per-vertex loops with OpenMP
@@ -12,10 +12,12 @@ a process forked after the library loaded runs them single-threaded, see
 
 The C code is a line-for-line translation of the pure-Python kernels in
 :mod:`repro.core.kernels_jit` (the single source of semantics, parity-tested
-against the array backend), operating on the same int64 CSR arrays and
-caller-provided :class:`~repro.core.workspace.Workspace` scratch.  All
-arithmetic is non-negative int64 modular arithmetic, so the results are
-bit-identical to both the NumPy and the numba tiers.
+against the array backend), operating on the same int64 CSR arrays, the
+int32 coefficient table and caller-provided
+:class:`~repro.core.workspace.Workspace` scratch.  All arithmetic is
+non-negative int64 modular arithmetic, so the results are bit-identical to
+both the NumPy and the numba tiers.  The loops index without bounds checks,
+so the ctypes wrappers check dtypes, contiguity and sizes first (O(1)).
 
 Build artifacts are content-addressed: the library lands in
 ``$REPRO_JIT_CACHE`` (default ``~/.cache/repro/jit``) under a hash of the
@@ -35,7 +37,7 @@ import pathlib
 import subprocess
 import tempfile
 import time
-from ctypes import POINTER, c_int64, c_uint8
+from ctypes import POINTER, c_int32, c_int64, c_uint8
 from typing import Any
 
 import numpy as np
@@ -55,9 +57,9 @@ _SOURCE = r"""
 #endif
 
 /* Horner evaluation of the degree-(f1-1) trial polynomial at x, mod q.
-   All operands are non-negative and q*q fits int64 (q <= ~3e9), matching
-   the int64 modular arithmetic of the NumPy and numba tiers exactly. */
-static inline int64_t horner(const int64_t *c, int64_t f1, int64_t x, int64_t q)
+   The digits are int32 (q < 2^31); the arithmetic is non-negative int64,
+   matching the NumPy and numba tiers exactly. */
+static inline int64_t horner(const int32_t *c, int64_t f1, int64_t x, int64_t q)
 {
     int64_t acc = 0;
     for (int64_t j = f1 - 1; j >= 0; j--)
@@ -65,9 +67,26 @@ static inline int64_t horner(const int64_t *c, int64_t f1, int64_t x, int64_t q)
     return acc;
 }
 
+/* Row v of the coefficient table: the f1 base-q digits of colors[v] + q. */
+void repro_coefficients(int64_t n, const int64_t *colors, int64_t q,
+                        int64_t f1, int32_t *out)
+{
+#ifdef _OPENMP
+#pragma omp parallel for schedule(static)
+#endif
+    for (int64_t v = 0; v < n; v++) {
+        int64_t rest = colors[v] + q;
+        int32_t *row = out + v * f1;
+        for (int64_t j = 0; j < f1; j++) {
+            row[j] = (int32_t)(rest % q);
+            rest /= q;
+        }
+    }
+}
+
 void repro_mother_first(int64_t nact, const int64_t *act,
                         const int64_t *indptr, const int64_t *indices,
-                        const int64_t *coeffs, int64_t f1,
+                        const int32_t *coeffs, int64_t f1,
                         int64_t q, int64_t keff, int64_t d,
                         const uint8_t *active, const int64_t *colors,
                         int64_t lo, int64_t hi,
@@ -78,7 +97,7 @@ void repro_mother_first(int64_t nact, const int64_t *act,
 #endif
     for (int64_t r = 0; r < nact; r++) {
         int64_t v = act[r];
-        const int64_t *cv = coeffs + v * f1;
+        const int32_t *cv = coeffs + v * f1;
         int64_t slot = -1, slotval = 0;
         for (int64_t x = lo; x < hi; x++) {
             int64_t val = horner(cv, f1, x, q);
@@ -295,6 +314,10 @@ def _p64(array: np.ndarray):
     return array.ctypes.data_as(POINTER(c_int64))
 
 
+def _p32(array: np.ndarray):
+    return array.ctypes.data_as(POINTER(c_int32))
+
+
 def _pu8(array: np.ndarray):
     return array.ctypes.data_as(POINTER(c_uint8))
 
@@ -303,17 +326,22 @@ class _CcKernels:
     """ctypes wrappers presenting the library under the provider interface.
 
     The contract mirrors the pure-Python kernels: int64 C-contiguous CSR and
-    index arrays, ``active`` as a 1-byte bool array, ``used`` as uint8
-    scratch.  Callers (the jit drivers) construct arrays with exactly these
-    dtypes, so no conversion happens here.
+    index arrays, an int32 coefficient table, ``active`` as a 1-byte bool
+    array, ``used`` as uint8 scratch.  Callers (the jit drivers) construct
+    arrays with exactly these dtypes, so no conversion happens here; the
+    kernels that index caller arrays unchecked check them first.
     """
 
     def __init__(self, lib: ctypes.CDLL):
         self._lib = lib
+        lib.repro_coefficients.restype = None
+        lib.repro_coefficients.argtypes = [
+            c_int64, POINTER(c_int64), c_int64, c_int64, POINTER(c_int32),
+        ]
         lib.repro_mother_first.restype = None
         lib.repro_mother_first.argtypes = [
             c_int64, POINTER(c_int64), POINTER(c_int64), POINTER(c_int64),
-            POINTER(c_int64), c_int64, c_int64, c_int64, c_int64,
+            POINTER(c_int32), c_int64, c_int64, c_int64, c_int64,
             POINTER(c_uint8), POINTER(c_int64), c_int64, c_int64,
             POINTER(c_int64), POINTER(c_int64),
         ]
@@ -344,11 +372,25 @@ class _CcKernels:
     def threads(self) -> int:
         return int(self._lib.repro_get_threads())
 
+    def coefficients(self, colors, q, out) -> None:
+        _require("coefficients", np.int64, colors)
+        _require_table("coefficients", out, colors.size)
+        self._lib.repro_coefficients(colors.size, _p64(colors), q, out.shape[1], _p32(out))
+
     def mother_first(self, act, indptr, indices, coeffs, q, keff, d, active,
                      colors, lo, hi, first, firstval) -> None:
+        _require("mother_first", np.int64, act, indptr, indices, colors, first, firstval)
+        _require("mother_first", np.bool_, active)
+        n = colors.size
+        _require_table("mother_first", coeffs, n)
+        if indptr.size != n + 1 or active.size != n:
+            raise ValueError("mother_first kernel: indptr, active and colors "
+                             "disagree on the vertex count")
+        if first.size < act.size or firstval.size < act.size:
+            raise ValueError("mother_first kernel: first or firstval shorter than act")
         self._lib.repro_mother_first(
             act.size, _p64(act), _p64(indptr), _p64(indices),
-            _p64(coeffs), coeffs.shape[1], q, keff, d,
+            _p32(coeffs), coeffs.shape[1], q, keff, d,
             _pu8(active), _p64(colors), lo, hi, _p64(first), _p64(firstval),
         )
 
@@ -366,14 +408,28 @@ class _CcKernels:
 
     def attach(self, words, ends, fill, start, n, attach, mark) -> int:
         # The C loop indexes ``ends`` and ``mark`` unchecked.
-        for array in (words, ends, mark):
-            if array.dtype != np.int64 or not array.flags.c_contiguous:
-                raise TypeError("attach kernel arrays must be C-contiguous int64")
+        _require("attach", np.int64, words, ends, mark)
         if start < 1 or ends.size < fill + 2 * (n - start) * attach or mark.size < n:
             raise ValueError("attach kernel: start < 1, or ends or mark too short")
         return int(self._lib.repro_attach(
             words.size, _p64(words), _p64(ends), fill, start, n, attach, _p64(mark),
         ))
+
+
+def _require(kernel: str, dtype, *arrays: np.ndarray) -> None:
+    for array in arrays:
+        if array.dtype != dtype or not array.flags.c_contiguous:
+            raise TypeError(f"{kernel} kernel arrays must be C-contiguous "
+                            f"{np.dtype(dtype).name}, got {array.dtype}")
+
+
+def _require_table(kernel: str, table: np.ndarray, n: int) -> None:
+    """The coefficient table: C-contiguous int32, ``n`` rows of ``f + 1``
+    digits (the C loops take the width from ``table.shape[1]``)."""
+    _require(kernel, np.int32, table)
+    if table.ndim != 2 or table.shape[0] != n:
+        raise ValueError(f"{kernel} kernel: coefficient table has shape "
+                         f"{table.shape}, expected ({n}, f + 1)")
 
 
 def cc_provider(cache_dir: str | os.PathLike | None = None):
@@ -396,6 +452,7 @@ def cc_provider(cache_dir: str | os.PathLike | None = None):
         version=str(info.get("compiler", "cc")),
         threads=threads,
         mother_first=kernels.mother_first,
+        coefficients=kernels.coefficients,
         remove_class=kernels.remove_class,
         kw_round=kernels.kw_round,
         attach=kernels.attach,

@@ -17,7 +17,14 @@ intermediates and scatter-adds them with ``bincount``, a compiled kernel
 * never allocates: callers pass scratch from the existing
   :class:`repro.core.workspace.Workspace` arena.
 
-A fourth kernel is not an engine primitive: :func:`_kernel_attach` is the
+The mother kernel reads its polynomials from a coefficient table that a
+fourth kernel, :func:`_kernel_coefficients`, fills: one row of ``f + 1``
+base-``q`` digits per vertex, stored as int32 (every digit is below ``q``,
+and :func:`repro.core.params.check_word_size` refuses ``q >= 2**31``), so
+the first Linial step on ``10**6`` vertices holds 84 MB instead of 168 MB.
+Horner's rule still runs in int64 on every tier.
+
+A fifth kernel is not an engine primitive: :func:`_kernel_attach` is the
 sequential preferential-attachment pass behind
 :func:`repro.congest.generators.power_law_cluster`.  The generator takes it
 from the same provider ladder, with :func:`python_provider` as the floor
@@ -100,6 +107,9 @@ def _kernel_mother_first(act, indptr, indices, coeffs, q, keff, d, active,
     ``(x % keff) * q + p_v(x)``.  The first ``x`` with at most ``d`` conflicts
     is written to ``first[r]`` (with ``p_v(x)`` in ``firstval[r]``), or ``-1``.
 
+    ``coeffs`` is the int32 table :func:`_kernel_coefficients` fills;
+    Horner's rule accumulates in int64 under numba and in Python ints in the
+    python tier (``int()`` keeps numpy's int32 scalar arithmetic out).
     Reads only ``active``/``colors``; writes only slot ``r`` — safe and
     deterministic under any parallel schedule.
     """
@@ -111,7 +121,7 @@ def _kernel_mother_first(act, indptr, indices, coeffs, q, keff, d, active,
         for x in range(lo, hi):
             val = 0
             for j in range(f1 - 1, -1, -1):
-                val = (val * x + coeffs[v, j]) % q
+                val = (val * x + int(coeffs[v, j])) % q
             trial = (x % keff) * q + val
             conflicts = 0
             for p in range(indptr[v], indptr[v + 1]):
@@ -119,7 +129,7 @@ def _kernel_mother_first(act, indptr, indices, coeffs, q, keff, d, active,
                 if active[u]:
                     nval = 0
                     for j in range(f1 - 1, -1, -1):
-                        nval = (nval * x + coeffs[u, j]) % q
+                        nval = (nval * x + int(coeffs[u, j])) % q
                     if nval == val:
                         conflicts += 1
                 elif colors[u] == trial:
@@ -132,6 +142,24 @@ def _kernel_mother_first(act, indptr, indices, coeffs, q, keff, d, active,
                 break
         first[r] = slot
         firstval[r] = slotval
+
+
+def _kernel_coefficients(colors, q, out):
+    """The mother kernel's coefficient table: ``out[v, j]`` is the ``j``-th
+    base-``q`` digit of ``colors[v] + q`` for ``j < out.shape[1] = f + 1``.
+
+    The offset skips the constant polynomials (see
+    :mod:`repro.core.sequences`); the table equals
+    :func:`repro.core.vectorized.sequence_coefficients` in any integer dtype
+    that holds ``q - 1``.  Writes only row ``v`` — safe under any parallel
+    schedule.
+    """
+    f1 = out.shape[1]
+    for v in prange(colors.shape[0]):
+        rest = colors[v] + q
+        for j in range(f1):
+            out[v, j] = rest % q
+            rest //= q
 
 
 def _kernel_remove_class(verts, indptr, indices, colors, target, used):
@@ -239,12 +267,13 @@ def _kernel_attach(words, ends, fill, start, n, attach, mark):
 
 @dataclass
 class KernelProvider:
-    """A resolved compiled-kernel tier: the four kernels plus provenance."""
+    """A resolved compiled-kernel tier: the five kernels plus provenance."""
 
     kind: str  # "numba" | "cc" | "python"
     version: str
     threads: int
     mother_first: Callable[..., None]
+    coefficients: Callable[..., None]
     remove_class: Callable[..., None]
     kw_round: Callable[..., None]
     attach: Callable[..., int]
@@ -281,6 +310,7 @@ def _numba_provider() -> KernelProvider | None:
             version=str(numba.__version__),
             threads=int(numba.get_num_threads()),
             mother_first=njit(**flags)(_kernel_mother_first),
+            coefficients=njit(**flags)(_kernel_coefficients),
             remove_class=njit(**flags)(_kernel_remove_class),
             kw_round=njit(**flags)(_kernel_kw_round),
             attach=njit(cache=True, nogil=True)(_kernel_attach),
@@ -305,6 +335,7 @@ def python_provider() -> KernelProvider:
         version=platform.python_version(),
         threads=1,
         mother_first=_kernel_mother_first,
+        coefficients=_kernel_coefficients,
         remove_class=_kernel_remove_class,
         kw_round=_kernel_kw_round,
         attach=_kernel_attach,
@@ -362,7 +393,6 @@ def run_mother_jit(
     k: int = 1,
     params: "MotherParameters | None" = None,
     validate_input: bool = True,
-    with_orientation: bool = False,
     workspace: Workspace | None = None,
     kernels: KernelProvider | None = None,
 ) -> "ColoringResult":
@@ -372,12 +402,13 @@ def run_mother_jit(
     The Python driver keeps the exact batch structure of the array twin —
     refresh the active-vertex frontier only after adoptions, adopt the first
     qualifying trial — and delegates the per-batch scan to
-    ``kernels.mother_first``.  With ``kernels=None`` the process-wide provider
-    is used; if none is available the call transparently runs the array twin.
+    ``kernels.mother_first``, which reads the int32 coefficient table
+    ``kernels.coefficients`` fills.  With ``kernels=None`` the process-wide
+    provider is used; if none is available the call transparently runs the
+    array twin.
     """
     from repro.congest.ids import validate_proper_coloring
-    from repro.core.algorithm1 import derive_orientation
-    from repro.core.params import MotherParameters
+    from repro.core.params import MotherParameters, check_word_size
     from repro.core.results import ColoringResult
 
     if kernels is None:
@@ -387,18 +418,16 @@ def run_mother_jit(
 
         return run_mother_algorithm_vectorized(
             graph, input_colors, m=m, d=d, k=k, params=params,
-            validate_input=validate_input, with_orientation=with_orientation,
-            workspace=workspace,
+            validate_input=validate_input, workspace=workspace,
         )
 
-    from repro.core.vectorized import sequence_coefficients
-
-    input_colors = np.asarray(input_colors, dtype=np.int64)
+    input_colors = np.ascontiguousarray(input_colors, dtype=np.int64)
     delta = max(1, graph.max_degree)
     if validate_input:
         validate_proper_coloring(graph, input_colors, m)
     if params is None:
         params = MotherParameters.derive(m=m, delta=delta, d=d, k=k)
+    check_word_size(params)
 
     n = graph.n
     if n == 0:
@@ -407,13 +436,13 @@ def run_mother_jit(
             rounds=0,
             color_space_size=params.color_space_size,
             parts=np.empty(0, dtype=np.int64),
-            orientation=set() if with_orientation else None,
             metadata={"params": params.describe(), "implementation": "jit",
                       "kernel": kernels.kind},
         )
 
     q, k_eff, dd = params.q, params.k, params.d
-    coeffs = np.ascontiguousarray(sequence_coefficients(input_colors, params))
+    coeffs = np.empty((n, params.f + 1), dtype=np.int32)
+    kernels.coefficients(input_colors, q, coeffs)
     ws = workspace if workspace is not None else Workspace()
     indptr, indices = graph.indptr, graph.indices
 
@@ -452,15 +481,11 @@ def run_mother_jit(
             "and indicates invalid parameters or a bug"
         )
 
-    orientation = (
-        derive_orientation(graph, colors, parts, input_colors) if with_orientation else None
-    )
     return ColoringResult(
         colors=colors,
         rounds=rounds,
         color_space_size=params.color_space_size,
         parts=parts,
-        orientation=orientation,
         metadata={
             "params": params.describe(),
             "implementation": "jit",

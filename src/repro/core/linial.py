@@ -122,7 +122,8 @@ def linial_coloring(
     if ids is None:
         ids = assign_unique_ids(graph, id_space=id_space, seed=seed)
     ids = np.asarray(ids, dtype=np.int64)
-    if np.unique(ids).size != ids.size:
+    ordered = np.sort(ids)
+    if (ordered[1:] == ordered[:-1]).any():
         raise ValueError("ids must be unique")
     space = int(id_space) if id_space is not None else (int(ids.max()) + 1 if ids.size else 1)
     return iterated_color_reduction(

@@ -25,11 +25,31 @@ from dataclasses import dataclass
 
 from repro.fields.primes import prime_in_range, next_prime
 
-__all__ = ["MotherParameters", "ParameterError"]
+__all__ = ["MotherParameters", "ParameterError", "check_word_size"]
 
 
 class ParameterError(ValueError):
     """Raised when (m, Delta, d, k) violate the requirements of Theorem 1.1."""
+
+
+def check_word_size(params: "MotherParameters") -> None:
+    """Raise :class:`ParameterError` unless ``params.q < 2**31``.
+
+    The array and jit backends need it: the jit coefficient table holds
+    base-``q`` digits as int32, and the array backend's int64 Horner step
+    ``acc * x + c`` multiplies two values below ``q``, which overflows
+    silently past ``q ~ 3.04e9``.  Their drivers call this before they
+    build a coefficient table, so a hand-built ``params=`` with a huge field
+    fails loudly.  :meth:`MotherParameters.derive` reaches ``q >= 2**31`` only when
+    ``f * Z`` is in the hundreds of millions; the reference backend uses
+    Python ints and has no such limit.
+    """
+    if params.q >= 2 ** 31:
+        raise ParameterError(
+            f"field size q={params.q} needs q < 2**31 on the array and jit "
+            "backends (int32 coefficient digits, int64 Horner products); "
+            "use the reference backend"
+        )
 
 
 @dataclass(frozen=True)

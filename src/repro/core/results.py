@@ -31,8 +31,13 @@ class ColoringResult:
     parts:
         Optional partition indices ``P_1 .. P_R`` from Theorem 1.1 point (2).
     orientation:
-        Optional orientation of monochromatic edges (set of ``(u, v)`` pairs
-        meaning ``u -> v``) from Theorem 1.1 point (1).
+        The orientation of monochromatic edges from Theorem 1.1 point (1), as
+        a ``(k, 2)`` int64 array whose rows ``(u, v)`` mean ``u -> v``, in
+        lexicographic order.  Only
+        :func:`repro.core.corollaries.outdegree_coloring`, whose guarantee it
+        is, sets it; every other result leaves it ``None``
+        (:func:`repro.core.algorithm1.derive_orientation` derives it from any
+        mother-algorithm result's colors and parts).
     metadata:
         Free-form extras: parameters, message statistics, sub-phase rounds.
     """
@@ -41,7 +46,7 @@ class ColoringResult:
     rounds: int
     color_space_size: int
     parts: np.ndarray | None = None
-    orientation: set[tuple[int, int]] | None = None
+    orientation: np.ndarray | None = None
     metadata: dict[str, Any] = field(default_factory=dict)
 
     @property

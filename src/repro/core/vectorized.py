@@ -22,7 +22,10 @@ arrays covering only the still-active subgraph:
   the round loop is compacted), each chunk Horner-evaluates exactly the
   vertices it touches at exactly the chunk's trial positions.  Modular
   arithmetic is exact, so the lazily computed values are bit-identical to the
-  table's;
+  table's.  The coefficients come from one int64 ``(n, f + 1)`` table
+  (:func:`sequence_coefficients`), and ``q < 2**31`` is required
+  (:func:`repro.core.params.check_word_size`), which keeps every int64
+  Horner step ``acc * x + c`` exact;
 * recurring per-round temporaries (gathered neighbor colors and activity
   flags, first-slot/undone trackers, Horner accumulators) live in a
   :class:`repro.core.workspace.Workspace` arena — named grow-only buffers
@@ -40,8 +43,7 @@ import numpy as np
 
 from repro.congest.graph import Graph
 from repro.congest.ids import validate_proper_coloring
-from repro.core.algorithm1 import derive_orientation
-from repro.core.params import MotherParameters
+from repro.core.params import MotherParameters, check_word_size
 from repro.core.results import ColoringResult
 from repro.core.workspace import Workspace
 
@@ -55,10 +57,12 @@ _CHUNK_CELLS = 2 * 1024 * 1024
 
 
 def sequence_coefficients(input_colors: np.ndarray, params: MotherParameters) -> np.ndarray:
-    """Polynomial coefficient matrix, shape ``(n, f + 1)``.
+    """Polynomial coefficient matrix, shape ``(n, f + 1)``, int64.
 
     ``coeffs[v, j]`` is the ``j``-th base-``q`` digit of ``input color + q``;
     the offset skips the constant polynomials (see :mod:`repro.core.sequences`).
+    The array backend reads this table; the jit backend fills an int32 twin
+    with the ``coefficients`` kernel of :mod:`repro.core.kernels_jit`.
     """
     colors = np.asarray(input_colors, dtype=np.int64)
     q = params.q
@@ -95,15 +99,10 @@ def run_mother_algorithm_vectorized(
     k: int = 1,
     params: MotherParameters | None = None,
     validate_input: bool = True,
-    with_orientation: bool = False,
     workspace: Workspace | None = None,
 ) -> ColoringResult:
     """Vectorized Algorithm 1; same semantics and outputs as
     :func:`repro.core.algorithm1.run_mother_algorithm`.
-
-    ``with_orientation`` defaults to False here because the orientation
-    derivation is an extra ``O(num_edges)`` Python pass that benchmarks on
-    large graphs usually do not need.
 
     ``workspace`` optionally supplies the scratch-buffer arena; pass one to
     reuse buffers across several calls (e.g. the stages of a pipeline), or
@@ -116,6 +115,7 @@ def run_mother_algorithm_vectorized(
         validate_proper_coloring(graph, input_colors, m)
     if params is None:
         params = MotherParameters.derive(m=m, delta=delta, d=d, k=k)
+    check_word_size(params)
 
     n = graph.n
     if n == 0:
@@ -124,7 +124,6 @@ def run_mother_algorithm_vectorized(
             rounds=0,
             color_space_size=params.color_space_size,
             parts=np.empty(0, dtype=np.int64),
-            orientation=set() if with_orientation else None,
             metadata={"params": params.describe(), "implementation": "vectorized"},
         )
 
@@ -262,15 +261,11 @@ def run_mother_algorithm_vectorized(
             "and indicates invalid parameters or a bug"
         )
 
-    orientation = (
-        derive_orientation(graph, colors, parts, input_colors) if with_orientation else None
-    )
     return ColoringResult(
         colors=colors,
         rounds=rounds,
         color_space_size=params.color_space_size,
         parts=parts,
-        orientation=orientation,
         metadata={
             "params": params.describe(),
             "implementation": "vectorized",

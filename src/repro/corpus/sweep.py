@@ -91,8 +91,7 @@ def _verify_cell(graph, algorithm: str, params: Mapping[str, Any],
             # beta-outdegree coloring: monochromatic edges are allowed, but
             # the exported orientation must cover them with outdegree <= beta
             beta = int(param_value("beta", 1))
-            oriented = set(map(tuple, artifacts["_orientation"].tolist()))
-            verify.assert_outdegree_orientation(graph, colors, oriented, beta)
+            verify.assert_outdegree_orientation(graph, colors, artifacts["_orientation"], beta)
             fields["proper"] = bool(verify.max_defect(graph, colors) == 0)
         elif d > 0:
             verify.assert_defective_coloring(graph, colors, d)

@@ -34,7 +34,6 @@ class ArrayEngine(Engine):
         k: int = 1,
         params: MotherParameters | None = None,
         validate_input: bool = True,
-        with_orientation: bool = False,
     ) -> ColoringResult:
         from repro.core.vectorized import run_mother_algorithm_vectorized
 
@@ -46,7 +45,6 @@ class ArrayEngine(Engine):
             k=k,
             params=params,
             validate_input=validate_input,
-            with_orientation=with_orientation,
         )
 
     def remove_color_class(

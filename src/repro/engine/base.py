@@ -97,7 +97,6 @@ class Engine(abc.ABC):
         k: int = 1,
         params: "MotherParameters | None" = None,
         validate_input: bool = True,
-        with_orientation: bool = False,
     ) -> "ColoringResult":
         """Run Algorithm 1 on ``graph`` (the semantics of Theorem 1.1)."""
 

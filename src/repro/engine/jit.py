@@ -124,21 +124,19 @@ class JitEngine(Engine):
         k: int = 1,
         params: MotherParameters | None = None,
         validate_input: bool = True,
-        with_orientation: bool = False,
     ) -> ColoringResult:
         self._fire_fault("run_mother")
         provider = self._resolve()
         if provider is None:
             return self._fallback.run_mother(
                 graph, input_colors, m, d=d, k=k, params=params,
-                validate_input=validate_input, with_orientation=with_orientation,
+                validate_input=validate_input,
             )
         from repro.core.kernels_jit import run_mother_jit
 
         return run_mother_jit(
             graph, input_colors, m, d=d, k=k, params=params,
-            validate_input=validate_input, with_orientation=with_orientation,
-            kernels=provider,
+            validate_input=validate_input, kernels=provider,
         )
 
     def remove_color_class(

@@ -58,7 +58,6 @@ class ReferenceEngine(Engine):
         k: int = 1,
         params: MotherParameters | None = None,
         validate_input: bool = True,
-        with_orientation: bool = False,
     ) -> ColoringResult:
         from repro.core.algorithm1 import run_mother_algorithm
 
@@ -71,7 +70,6 @@ class ReferenceEngine(Engine):
             params=params,
             validate_input=validate_input,
             model=self.model,
-            with_orientation=with_orientation,
             bandwidth_factor=self.bandwidth_factor,
             strict_bandwidth=self.strict_bandwidth,
         )

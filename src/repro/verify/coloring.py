@@ -1,4 +1,11 @@
-"""Proper and defective coloring verification."""
+"""Proper and defective coloring verification.
+
+Every check compares the two endpoint colors of each CSR entry
+(``colors[graph.src_index]`` against ``colors[graph.indices]``), so no
+``(m, 2)`` edge array is built.  Each edge appears once per endpoint; the
+first monochromatic entry has ``u < v`` and is the lexicographically first
+monochromatic edge, so error messages name that edge.
+"""
 
 from __future__ import annotations
 
@@ -31,26 +38,26 @@ def _as_colors(graph: Graph, colors) -> np.ndarray:
     return arr
 
 
+def _mono_entries(graph: Graph, arr: np.ndarray) -> np.ndarray:
+    """Per CSR entry: do its two endpoints share a color?"""
+    return arr[graph.src_index] == arr[graph.indices]
+
+
 def is_proper_coloring(graph: Graph, colors) -> bool:
     """True iff no edge is monochromatic."""
-    arr = _as_colors(graph, colors)
-    edges = graph.edge_array()
-    if edges.size == 0:
-        return True
-    return not bool(np.any(arr[edges[:, 0]] == arr[edges[:, 1]]))
+    return not _mono_entries(graph, _as_colors(graph, colors)).any()
 
 
 def assert_proper_coloring(graph: Graph, colors, max_colors: int | None = None) -> None:
     """Raise :class:`VerificationError` unless ``colors`` is proper (and within ``max_colors``)."""
     arr = _as_colors(graph, colors)
-    edges = graph.edge_array()
-    if edges.size:
-        same = arr[edges[:, 0]] == arr[edges[:, 1]]
-        if np.any(same):
-            u, v = edges[np.argmax(same)]
-            raise VerificationError(
-                f"edge ({int(u)}, {int(v)}) is monochromatic with color {arr[u]!r}"
-            )
+    same = _mono_entries(graph, arr)
+    if same.any():
+        entry = int(np.argmax(same))
+        u, v = int(graph.src_index[entry]), int(graph.indices[entry])
+        raise VerificationError(
+            f"edge ({u}, {v}) is monochromatic with color {arr[u]!r}"
+        )
     if max_colors is not None and count_colors(graph, arr) > max_colors:
         raise VerificationError(
             f"coloring uses {count_colors(graph, arr)} colors, allowed at most {max_colors}"
@@ -79,16 +86,8 @@ def color_classes(graph: Graph, colors) -> dict:
 
 def defect_vector(graph: Graph, colors) -> np.ndarray:
     """Per-vertex defect: number of neighbors sharing the vertex's color."""
-    arr = _as_colors(graph, colors)
-    defect = np.zeros(graph.n, dtype=np.int64)
-    edges = graph.edge_array()
-    if edges.size:
-        same = arr[edges[:, 0]] == arr[edges[:, 1]]
-        mono = edges[same]
-        if mono.size:
-            np.add.at(defect, mono[:, 0], 1)
-            np.add.at(defect, mono[:, 1], 1)
-    return defect
+    same = _mono_entries(graph, _as_colors(graph, colors))
+    return np.bincount(graph.src_index[same], minlength=graph.n)
 
 
 def max_defect(graph: Graph, colors) -> int:

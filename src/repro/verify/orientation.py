@@ -3,8 +3,9 @@
 A ``beta``-outdegree ``c``-coloring (Section 1.1) is a coloring with ``c``
 colors together with an orientation of the *monochromatic* edges such that
 every vertex has at most ``beta`` outgoing edges.  The orientation is given as
-a set of ordered pairs ``(u, v)`` meaning the edge ``{u, v}`` is oriented
-``u -> v``.
+a ``(k, 2)`` integer array whose row ``(u, v)`` means the edge ``{u, v}`` is
+oriented ``u -> v``.  Every check is an array operation over the rows and the
+CSR entries; nothing loops over edges in Python.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.congest.graph import Graph
-from repro.verify.coloring import VerificationError, _as_colors
+from repro.verify.coloring import VerificationError, _as_colors, _mono_entries
 
 __all__ = [
     "monochromatic_edges",
@@ -22,29 +23,45 @@ __all__ = [
 
 
 def monochromatic_edges(graph: Graph, colors) -> np.ndarray:
-    """All edges ``(u, v)`` (``u < v``) whose endpoints share a color."""
-    arr = _as_colors(graph, colors)
-    edges = graph.edge_array()
-    if edges.size == 0:
-        return np.empty((0, 2), dtype=np.int64)
-    same = arr[edges[:, 0]] == arr[edges[:, 1]]
-    return edges[same]
+    """All edges ``(u, v)`` (``u < v``) whose endpoints share a color, in
+    lexicographic order."""
+    src, dst = graph.src_index, graph.indices
+    mask = _mono_entries(graph, _as_colors(graph, colors))
+    mask &= src < dst
+    return np.stack([src[mask], dst[mask]], axis=1)
 
 
-def orientation_outdegrees(graph: Graph, orientation: set[tuple[int, int]]) -> np.ndarray:
-    """Outdegree of every vertex under the given orientation."""
-    out = np.zeros(graph.n, dtype=np.int64)
-    for u, v in orientation:
-        if not graph.has_edge(int(u), int(v)):
-            raise VerificationError(f"orientation contains non-edge ({u}, {v})")
-        out[int(u)] += 1
-    return out
+def _checked_rows(graph: Graph, orientation) -> tuple[np.ndarray, np.ndarray]:
+    """The orientation's tails and heads, after checking every row is an edge.
+
+    A row ``(u, v)`` is an edge iff its key ``u * n + v`` occurs among the
+    CSR keys ``src * n + dst``, which are sorted (rows by source, neighbors
+    sorted within a row).
+    """
+    rows = np.asarray(orientation, dtype=np.int64).reshape(-1, 2)
+    u, v = rows[:, 0], rows[:, 1]
+    n = graph.n
+    keys = graph.src_index * n + graph.indices
+    wanted = u * n + v
+    pos = np.searchsorted(keys, wanted)
+    is_edge = (u >= 0) & (u < n) & (v >= 0) & (v < n) & (pos < keys.size)
+    is_edge[is_edge] = keys[pos[is_edge]] == wanted[is_edge]
+    if not is_edge.all():
+        bad = int(np.argmin(is_edge))
+        raise VerificationError(f"orientation contains non-edge ({int(u[bad])}, {int(v[bad])})")
+    return u, v
+
+
+def orientation_outdegrees(graph: Graph, orientation) -> np.ndarray:
+    """Outdegree of every vertex under the given ``(k, 2)`` orientation."""
+    u, _ = _checked_rows(graph, orientation)
+    return np.bincount(u, minlength=graph.n)
 
 
 def assert_outdegree_orientation(
     graph: Graph,
     colors,
-    orientation: set[tuple[int, int]],
+    orientation,
     beta: int,
 ) -> None:
     """Check that ``orientation`` orients every monochromatic edge exactly once
@@ -58,28 +75,33 @@ def assert_outdegree_orientation(
         some vertex has outdegree exceeding ``beta``.
     """
     arr = _as_colors(graph, colors)
-    oriented = {}
-    for u, v in orientation:
-        u, v = int(u), int(v)
-        if not graph.has_edge(u, v):
-            raise VerificationError(f"orientation contains non-edge ({u}, {v})")
-        key = (min(u, v), max(u, v))
-        if key in oriented:
-            raise VerificationError(f"edge {key} oriented twice")
-        if arr[u] != arr[v]:
-            raise VerificationError(
-                f"orientation contains edge ({u}, {v}) whose endpoints have different colors"
-            )
-        oriented[key] = (u, v)
-
-    mono = monochromatic_edges(graph, arr)
-    for u, v in map(tuple, mono.tolist()):
-        if (u, v) not in oriented:
-            raise VerificationError(f"monochromatic edge ({u}, {v}) is not oriented")
-
-    out = orientation_outdegrees(graph, orientation)
-    if out.size and int(out.max()) > beta:
-        v = int(np.argmax(out))
+    u, v = _checked_rows(graph, orientation)
+    n = graph.n
+    lo, hi = np.minimum(u, v), np.maximum(u, v)
+    canon = np.sort(lo * n + hi)
+    twice = canon[1:] == canon[:-1]
+    if twice.any():
+        key = int(canon[1:][np.argmax(twice)])
+        raise VerificationError(f"edge {divmod(key, n)} oriented twice")
+    differ = arr[u] != arr[v]
+    if differ.any():
+        bad = int(np.argmax(differ))
         raise VerificationError(
-            f"vertex {v} has outdegree {int(out[v])}, exceeding the bound beta={beta}"
+            f"orientation contains edge ({int(u[bad])}, {int(v[bad])}) "
+            "whose endpoints have different colors"
+        )
+
+    # The rows are distinct monochromatic edges, so they cover every
+    # monochromatic edge iff there are as many of them.
+    mono = monochromatic_edges(graph, arr)
+    if mono.shape[0] != canon.size:
+        covered = np.isin(mono[:, 0] * n + mono[:, 1], canon)
+        a, b = mono[np.argmin(covered)]
+        raise VerificationError(f"monochromatic edge ({int(a)}, {int(b)}) is not oriented")
+
+    out = np.bincount(u, minlength=n)
+    if out.size and int(out.max()) > beta:
+        w = int(np.argmax(out))
+        raise VerificationError(
+            f"vertex {w} has outdegree {int(out[w])}, exceeding the bound beta={beta}"
         )

@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.congest.graph import Graph
-from repro.verify.coloring import VerificationError, _as_colors
+from repro.verify.coloring import VerificationError, _as_colors, _mono_entries
 
 __all__ = ["partition_classes", "assert_partition_degree_bound"]
 
@@ -57,17 +57,11 @@ def assert_partition_degree_bound(
             raise VerificationError(
                 f"partition uses {used} parts, allowed at most {max_parts}"
             )
-    edges = graph.edge_array()
-    if edges.size == 0:
+    src = graph.src_index
+    both = _mono_entries(graph, arr) & (parts[src] == parts[graph.indices])
+    if not both.any():
         return
-    same_color = arr[edges[:, 0]] == arr[edges[:, 1]]
-    same_part = parts[edges[:, 0]] == parts[edges[:, 1]]
-    both = edges[same_color & same_part]
-    if both.size == 0:
-        return
-    degree_within = np.zeros(graph.n, dtype=np.int64)
-    np.add.at(degree_within, both[:, 0], 1)
-    np.add.at(degree_within, both[:, 1], 1)
+    degree_within = np.bincount(src[both], minlength=graph.n)
     if int(degree_within.max()) > d:
         v = int(np.argmax(degree_within))
         raise VerificationError(

@@ -72,8 +72,10 @@ class TestTheorem11Guarantees:
 
     def test_orientation_outdegree_at_most_d(self, random_regular8):
         for d in (1, 3, 5):
-            result, _, _ = run_on(random_regular8, d=d, k=1)
-            assert_outdegree_orientation(random_regular8, result.colors, result.orientation, d)
+            result, colors, _ = run_on(random_regular8, d=d, k=1)
+            assert result.orientation is None  # only outdegree_coloring sets it
+            orientation = derive_orientation(random_regular8, result.colors, result.parts, colors)
+            assert_outdegree_orientation(random_regular8, result.colors, orientation, d)
 
     def test_partition_degree_at_most_d(self, random_regular8):
         for d in (1, 3):
@@ -94,8 +96,9 @@ class TestTheorem11Guarantees:
         assert_defective_coloring(g, result.colors, d=2)
 
     def test_d_zero_ignores_orientation(self, petersen):
-        result, _, _ = run_on(petersen, d=0, k=1)
-        assert result.orientation == set()
+        result, colors, _ = run_on(petersen, d=0, k=1)
+        orientation = derive_orientation(petersen, result.colors, result.parts, colors)
+        assert orientation.shape == (0, 2) and orientation.dtype == np.int64
 
 
 class TestCongestBehaviour:
@@ -142,18 +145,18 @@ class TestOrientationDerivation:
         parts = np.array([2, 1, 1])
         input_colors = np.array([0, 1, 2])
         orientation = derive_orientation(g, colors, parts, input_colors)
-        assert orientation == {(0, 1)}
+        assert orientation.tolist() == [[0, 1]]
 
     def test_same_part_ties_broken_by_input_color(self):
         g = generators.path(2)
         orientation = derive_orientation(
             g, np.array([5, 5]), np.array([1, 1]), np.array([3, 8])
         )
-        assert orientation == {(0, 1)}
+        assert orientation.tolist() == [[0, 1]]
 
     def test_non_monochromatic_edges_not_oriented(self):
         g = generators.path(2)
         orientation = derive_orientation(
             g, np.array([5, 6]), np.array([1, 1]), np.array([3, 8])
         )
-        assert orientation == set()
+        assert orientation.shape == (0, 2)

@@ -64,6 +64,9 @@ class TestOutdegreeColoring:
         graph, colors, m = workload
         res = corollaries.outdegree_coloring(graph, colors, m, beta=beta)
         assert_outdegree_orientation(graph, res.colors, res.orientation, beta)
+        # a (k, 2) int64 array, rows in lexicographic order
+        assert res.orientation.dtype == np.int64 and res.orientation.shape[1] == 2
+        assert res.orientation.tolist() == sorted(res.orientation.tolist())
         assert res.rounds <= bounds.corollary12_4_rounds(graph.max_degree, beta) + 1
 
     def test_invalid_beta(self, workload):

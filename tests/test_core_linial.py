@@ -39,6 +39,25 @@ class TestLinialColoring:
         with pytest.raises(ValueError):
             linial_coloring(g, ids=np.array([1, 1, 2, 3, 4]))
 
+    @pytest.mark.parametrize("ids", [
+        [40, 7, 19, 7, 3, 28],     # one duplicated pair, mid-range
+        [3, 40, 19, 3, 11, 28],    # duplicates at the smallest value
+        [40, 7, 19, 12, 40, 28],   # duplicates at the largest value
+        [0, 0, 0, 0, 0, 0],
+    ])
+    def test_duplicate_ids_named(self, ids):
+        # The check sorts: equal neighbours anywhere in the sorted order trip
+        # it, including at both ends.
+        g = generators.path(6)
+        with pytest.raises(ValueError, match="ids must be unique"):
+            linial_coloring(g, ids=np.array(ids))
+
+    @pytest.mark.parametrize("n", [0, 1])
+    def test_trivial_id_arrays_accepted(self, n):
+        g = generators.empty_graph(n)
+        res = linial_coloring(g, ids=np.arange(5, 5 + n))
+        assert res.colors.tolist() == list(range(5, 5 + n))
+
     def test_custom_target(self):
         g = generators.random_regular(100, 4, seed=4)
         res = linial_coloring(g, seed=4, target_colors=10_000)

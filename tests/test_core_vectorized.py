@@ -6,11 +6,12 @@ from hypothesis import given, settings, strategies as st
 
 from helpers import make_input_coloring
 from repro.congest import generators
-from repro.core.algorithm1 import run_mother_algorithm
+from repro.core.algorithm1 import derive_orientation, run_mother_algorithm
 from repro.core.params import MotherParameters
 from repro.core.vectorized import evaluate_all_sequences, run_mother_algorithm_vectorized
 from repro.core.sequences import build_sequence
 from repro.verify.coloring import assert_proper_coloring
+from repro.verify.orientation import assert_outdegree_orientation
 
 
 class TestSequenceEvaluation:
@@ -53,9 +54,17 @@ class TestEquivalence:
         assert a.rounds == b.rounds
 
     def test_vectorized_orientation_available_on_request(self, petersen):
+        # The orientation is derived from a result's colors and parts, on
+        # request; the vectorized result gives the reference's orientation.
         colors, m = make_input_coloring(petersen, seed=1)
-        res = run_mother_algorithm_vectorized(petersen, colors, m, d=1, k=1, with_orientation=True)
-        assert res.orientation is not None
+        res = run_mother_algorithm_vectorized(petersen, colors, m, d=1, k=1)
+        ref = run_mother_algorithm(petersen, colors, m, d=1, k=1)
+        assert res.orientation is None
+        orientation = derive_orientation(petersen, res.colors, res.parts, colors)
+        assert np.array_equal(
+            orientation, derive_orientation(petersen, ref.colors, ref.parts, colors)
+        )
+        assert_outdegree_orientation(petersen, res.colors, orientation, 1)
 
     def test_vectorized_empty_graph(self):
         g = generators.empty_graph(0)

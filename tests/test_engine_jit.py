@@ -323,6 +323,109 @@ class TestKernelTierParity:
 
 
 # --------------------------------------------------------------------------- #
+# The int32 coefficient table, its word-size guard and the C wrappers' checks
+# --------------------------------------------------------------------------- #
+
+
+def _compiled_provider():
+    provider = get_provider()
+    if provider is None:
+        pytest.skip("no compiled kernel tier on this machine")
+    return provider
+
+
+def _table(kernels, colors, params):
+    out = np.full((colors.size, params.f + 1), -1, dtype=np.int32)
+    kernels.coefficients(colors, params.q, out)
+    return out
+
+
+class TestCoefficientTable:
+    #: (m, Delta, d): Linial's first step on big_graph's grid (ids in [10**12],
+    #: Delta = 4, one batch: q = 163, f = 20), then defect and batch variety.
+    CASES = [(10 ** 12, 4, 0), (16, 3, 0), (10 ** 4, 8, 2), (2 ** 40, 6, 1), (97, 1, 0)]
+
+    @pytest.mark.parametrize("m,delta,d", CASES)
+    def test_tiers_match_sequence_coefficients(self, m, delta, d):
+        from repro.core.corollaries import _single_batch_params
+        from repro.core.vectorized import sequence_coefficients
+
+        params = _single_batch_params(m, delta, d)
+        if (m, delta, d) == (10 ** 12, 4, 0):
+            assert (params.q, params.f) == (163, 20)
+        rng = np.random.default_rng(m % 1000)
+        colors = np.concatenate([
+            [0, 1, m // 2, m - 2, m - 1], rng.integers(0, m, size=300),
+        ]).astype(np.int64)
+        want = sequence_coefficients(colors, params)
+        assert want.max() < params.q
+        for kernels in (python_provider(), _compiled_provider()):
+            got = _table(kernels, colors, params)
+            assert got.dtype == np.int32
+            assert np.array_equal(got, want), kernels.kind
+
+    @pytest.mark.parametrize("backend", ["array", "jit"])
+    def test_word_size_guard(self, backend):
+        from repro.congest.graph import Graph
+        from repro.core.params import MotherParameters, ParameterError
+
+        # A 4-cycle with input colors >= 2**31 and a hand-built field of size
+        # 2**31: an int32 digit would truncate and int64 Horner would
+        # overflow, so both backends refuse before allocating.
+        cycle = Graph(4, [(0, 1), (1, 2), (2, 3), (3, 0)])
+        colors = np.array([2 ** 31, 2 ** 31 + 1, 2 ** 31, 2 ** 31 + 1], dtype=np.int64)
+        m = 2 ** 31 + 2
+        params = MotherParameters(m=m, delta=2, d=0, k=1, f=1, q=2 ** 31)
+        with pytest.raises(ParameterError, match="q < 2\\*\\*31"):
+            get_engine(backend).run_mother(cycle, colors, m, params=params)
+        below = MotherParameters(m=m, delta=2, d=0, k=1, f=2, q=2 ** 31 - 1)
+        a = get_engine("array").run_mother(cycle, colors, m, params=below)
+        b = get_engine(backend).run_mother(cycle, colors, m, params=below)
+        assert_coloring_parity(a, b)
+        assert_proper_coloring(cycle, b.colors)
+
+    def test_c_wrappers_check_their_arrays(self):
+        from repro.core.kernels_cc import cc_provider
+
+        kernels = cc_provider()
+        if kernels is None:
+            pytest.skip("no C compiler on this machine")
+        graph = generators.ring(6)
+        colors = np.arange(6, dtype=np.int64)
+        table = np.zeros((6, 3), dtype=np.int32)
+        kernels.coefficients(colors, 7, table)  # well-formed: accepted
+        act = np.arange(6, dtype=np.int64)
+        active = np.ones(6, dtype=bool)
+        first = np.empty(6, dtype=np.int64)
+
+        def mother(coeffs=table, first=first, firstval=first.copy()):
+            kernels.mother_first(act, graph.indptr, graph.indices, coeffs, 7, 7, 0,
+                                 active, -np.ones(6, dtype=np.int64), 0, 7,
+                                 first, firstval)
+
+        mother()
+        bad_tables = [
+            table.astype(np.int64),                       # wrong dtype
+            np.asfortranarray(table),                     # Fortran order
+            np.zeros((5, 3), dtype=np.int32),             # rows != n
+            np.zeros(18, dtype=np.int32),                 # not a table
+        ]
+        for bad in bad_tables:
+            with pytest.raises((TypeError, ValueError)):
+                mother(coeffs=bad)
+            with pytest.raises((TypeError, ValueError)):
+                kernels.coefficients(colors, 7, bad)
+        with pytest.raises((TypeError, ValueError)):
+            mother(first=first[:5])
+        with pytest.raises((TypeError, ValueError)):
+            mother(firstval=first[:5].copy())
+        with pytest.raises((TypeError, ValueError)):
+            kernels.coefficients(colors.astype(np.int32), 7, table)
+        with pytest.raises((TypeError, ValueError)):
+            kernels.coefficients(colors[::2], 7, table[:3])
+
+
+# --------------------------------------------------------------------------- #
 # The fallback path: no compiled tier at all
 # --------------------------------------------------------------------------- #
 

@@ -13,7 +13,7 @@ from helpers import make_input_coloring
 from repro.congest import generators
 from repro.congest.graph import Graph
 from repro.core import corollaries, pipelines
-from repro.core.algorithm1 import run_mother_algorithm
+from repro.core.algorithm1 import derive_orientation, run_mother_algorithm
 from repro.core.one_round import max_reducible_colors, one_round_color_reduction, required_input_colors
 from repro.core.params import MotherParameters
 from repro.verify.coloring import (
@@ -52,7 +52,8 @@ class TestZooPipelines:
             # all three guarantees of Theorem 1.1 at once
             assert res.rounds <= params.round_bound
             assert res.colors.max() < params.color_space_size
-            assert_outdegree_orientation(graph, res.colors, res.orientation, d)
+            orientation = derive_orientation(graph, res.colors, res.parts, colors)
+            assert_outdegree_orientation(graph, res.colors, orientation, d)
             assert_partition_degree_bound(graph, res.colors, res.parts, d,
                                           max_parts=res.rounds)
 

@@ -19,7 +19,7 @@ from repro.congest import generators
 from repro.congest.graph import Graph
 from repro.congest.ids import InputColoringError
 from repro.core import pipelines
-from repro.core.algorithm1 import run_mother_algorithm
+from repro.core.algorithm1 import derive_orientation, run_mother_algorithm
 from repro.core.corollaries import kdelta_coloring, linial_color_reduction
 from repro.core.linial import iterated_color_reduction
 from repro.core.params import MotherParameters
@@ -44,12 +44,15 @@ def edge_case_graphs() -> list[tuple[str, Graph]]:
 
 
 def assert_mother_parity(graph: Graph, colors: np.ndarray, m: int, d: int = 0, k: int = 1):
-    ref = run_mother_algorithm(graph, colors, m, d=d, k=k, with_orientation=True)
-    vec = run_mother_algorithm_vectorized(graph, colors, m, d=d, k=k, with_orientation=True)
+    ref = run_mother_algorithm(graph, colors, m, d=d, k=k)
+    vec = run_mother_algorithm_vectorized(graph, colors, m, d=d, k=k)
     assert np.array_equal(ref.colors, vec.colors)
     assert np.array_equal(ref.parts, vec.parts)
     assert ref.rounds == vec.rounds
-    assert ref.orientation == vec.orientation
+    assert np.array_equal(
+        derive_orientation(graph, ref.colors, ref.parts, colors),
+        derive_orientation(graph, vec.colors, vec.parts, colors),
+    )
     return vec
 
 
