@@ -33,6 +33,7 @@ from repro.congest import generators
 from repro.congest.graph import Graph
 from repro.congest.ids import delta4_input_coloring, random_proper_coloring
 from repro.core import baselines, one_round
+from repro.core.reduce import kuhn_wattenhofer_reduction
 from repro.engine.base import Engine
 from repro.engine.batch import BatchRunner, GraphSpec, Workload
 from repro.verify.coloring import assert_proper_coloring
@@ -476,7 +477,8 @@ def _task_e10_baselines(w: Workload, engine: Engine, algorithm: str, k: int = 1)
         res = baselines.locally_iterative_beg18(w.graph, w.input_colors, w.m, backend=engine)
     elif algorithm == "kw_halving":
         start = corollaries.delta_squared_coloring(w.graph, w.input_colors, w.m, backend=engine)
-        kw = engine.kuhn_wattenhofer(w.graph, start.colors, start.color_space_size)
+        kw = kuhn_wattenhofer_reduction(w.graph, start.colors, start.color_space_size,
+                                        backend=engine)
         return {
             "rounds": int(start.rounds + kw.rounds),
             "colors used": int(kw.num_colors),

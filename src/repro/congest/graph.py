@@ -497,6 +497,20 @@ class Graph:
         np.cumsum(counts, out=indptr[1:])
         return Graph.from_csr_arrays(indptr, sub_dst, copy=False), verts
 
+    def spanning_subgraph(self, keep: np.ndarray) -> "Graph":
+        """The subgraph on all ``n`` vertices with the CSR entries ``keep`` marks.
+
+        ``keep`` is a boolean mask over :attr:`indices` that must be
+        symmetric (an entry and its reverse agree), as every predicate of
+        both endpoints is — e.g. "both endpoints share a color".  Rows keep
+        their sorted neighbor order, so the kept entries are already a valid
+        CSR.
+        """
+        counts = np.bincount(self.src_index[keep], minlength=self._n)
+        indptr = np.zeros(self._n + 1, dtype=np.int64)
+        np.cumsum(counts, out=indptr[1:])
+        return Graph.from_csr_arrays(indptr, self._indices[keep], copy=False)
+
     def power_graph(self, power: int) -> "Graph":
         """Return ``G^power``: vertices at distance ``<= power`` become adjacent.
 

@@ -2,7 +2,7 @@
 system compiler, loaded via :mod:`ctypes`.
 
 When numba is not installed (the preferred tier, see
-:mod:`repro.core.kernels_jit`) but a C compiler is on PATH, the five
+:mod:`repro.core.kernels_jit`) but a C compiler is on PATH, the four
 kernels are compiled *once* from the embedded source below into a small
 shared library and called through :mod:`ctypes` — ctypes foreign calls drop
 the GIL, and the engine kernels multi-thread their per-vertex loops with OpenMP
@@ -148,37 +148,6 @@ void repro_remove_class(int64_t nv, const int64_t *verts,
         if (c == target)  /* cannot happen on valid input; mirrors argmax */
             c = 0;
         colors[v] = c;
-    }
-}
-
-void repro_kw_round(int64_t nv, const int64_t *verts,
-                    const int64_t *indptr, const int64_t *indices,
-                    int64_t *colors, int64_t block, int64_t target,
-                    uint8_t *used)
-{
-#ifdef _OPENMP
-#pragma omp parallel for schedule(static)
-#endif
-    for (int64_t r = 0; r < nv; r++) {
-        int64_t v = verts[r];
-        int64_t bo = colors[v] / block;
-        uint8_t *row = used + r * target;
-        for (int64_t c = 0; c < target; c++)
-            row[c] = 0;
-        for (int64_t p = indptr[v]; p < indptr[v + 1]; p++) {
-            int64_t b = colors[indices[p]];
-            if (b / block == bo) {
-                int64_t slot = b % block;
-                if (slot < target)
-                    row[slot] = 1;
-            }
-        }
-        int64_t s = 0;
-        while (s < target && row[s])
-            s++;
-        if (s == target)
-            s = 0;
-        colors[v] = bo * block + s;
     }
 }
 
@@ -328,8 +297,8 @@ class _CcKernels:
     The contract mirrors the pure-Python kernels: int64 C-contiguous CSR and
     index arrays, an int32 coefficient table, ``active`` as a 1-byte bool
     array, ``used`` as uint8 scratch.  Callers (the jit drivers) construct
-    arrays with exactly these dtypes, so no conversion happens here; the
-    kernels that index caller arrays unchecked check them first.
+    arrays with exactly these dtypes, so no conversion happens here; every
+    kernel that indexes caller arrays unchecked checks them first (O(1)).
     """
 
     def __init__(self, lib: ctypes.CDLL):
@@ -349,11 +318,6 @@ class _CcKernels:
         lib.repro_remove_class.argtypes = [
             c_int64, POINTER(c_int64), POINTER(c_int64), POINTER(c_int64),
             POINTER(c_int64), c_int64, POINTER(c_uint8),
-        ]
-        lib.repro_kw_round.restype = None
-        lib.repro_kw_round.argtypes = [
-            c_int64, POINTER(c_int64), POINTER(c_int64), POINTER(c_int64),
-            POINTER(c_int64), c_int64, c_int64, POINTER(c_uint8),
         ]
         lib.repro_attach.restype = c_int64
         lib.repro_attach.argtypes = [
@@ -395,15 +359,17 @@ class _CcKernels:
         )
 
     def remove_class(self, verts, indptr, indices, colors, target, used) -> None:
+        _require("remove_class", np.int64, verts, indptr, indices, colors)
+        _require("remove_class", np.uint8, used)
+        if indptr.size != colors.size + 1:
+            raise ValueError("remove_class kernel: indptr and colors disagree "
+                             "on the vertex count")
+        if used.size < verts.size * target:
+            raise ValueError("remove_class kernel: used is shorter than "
+                             "len(verts) * target")
         self._lib.repro_remove_class(
             verts.size, _p64(verts), _p64(indptr), _p64(indices),
             _p64(colors), target, _pu8(used),
-        )
-
-    def kw_round(self, verts, indptr, indices, colors, block, target, used) -> None:
-        self._lib.repro_kw_round(
-            verts.size, _p64(verts), _p64(indptr), _p64(indices),
-            _p64(colors), block, target, _pu8(used),
         )
 
     def attach(self, words, ends, fill, start, n, attach, mark) -> int:
@@ -454,7 +420,6 @@ def cc_provider(cache_dir: str | os.PathLike | None = None):
         mother_first=kernels.mother_first,
         coefficients=kernels.coefficients,
         remove_class=kernels.remove_class,
-        kw_round=kernels.kw_round,
         attach=kernels.attach,
         detail={"library": str(sofile), **info},
     )

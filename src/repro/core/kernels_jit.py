@@ -1,8 +1,8 @@
 """Compiled kernels for the ``jit`` backend: fused, multi-threaded CSR loops.
 
-The three hot primitives of the engine contract — the mother algorithm's
-trial-color conflict counting, color-class removal, and the Kuhn–Wattenhofer
-round — are expressed here as *per-vertex fused loops* over the CSR triplet
+The two primitives of the engine contract — the mother algorithm's
+trial-color conflict counting and color-class removal — are expressed here
+as *per-vertex fused loops* over the CSR triplet
 (``indptr``/``indices``/``src_index``-free: each vertex walks its own CSR
 range directly).  Unlike the NumPy twin (:mod:`repro.core.vectorized`,
 :mod:`repro.core.reduce`), which materialises ``(active_edges x trials)``
@@ -18,13 +18,13 @@ intermediates and scatter-adds them with ``bincount``, a compiled kernel
   :class:`repro.core.workspace.Workspace` arena.
 
 The mother kernel reads its polynomials from a coefficient table that a
-fourth kernel, :func:`_kernel_coefficients`, fills: one row of ``f + 1``
+third kernel, :func:`_kernel_coefficients`, fills: one row of ``f + 1``
 base-``q`` digits per vertex, stored as int32 (every digit is below ``q``,
 and :func:`repro.core.params.check_word_size` refuses ``q >= 2**31``), so
 the first Linial step on ``10**6`` vertices holds 84 MB instead of 168 MB.
 Horner's rule still runs in int64 on every tier.
 
-A fifth kernel is not an engine primitive: :func:`_kernel_attach` is the
+A fourth kernel is not an engine primitive: :func:`_kernel_attach` is the
 sequential preferential-attachment pass behind
 :func:`repro.congest.generators.power_law_cluster`.  The generator takes it
 from the same provider ladder, with :func:`python_provider` as the floor
@@ -44,9 +44,8 @@ backend degrades to the array backend (see :mod:`repro.engine.jit`).
 Determinism under threads is by construction, not by locking: iteration
 ``r`` of every parallel loop writes only slot ``r`` of its output (mother
 kernel) or ``colors[verts[r]]`` where ``verts`` is an independent set
-(color-class removal) or block-disjoint (Kuhn–Wattenhofer) — no iteration
-reads a cell another iteration of the same call may write with a value that
-could change its result.  Outputs are therefore bit-identical for any
+(color-class removal) — no iteration reads a cell another iteration of the
+same call writes.  Outputs are therefore bit-identical for any
 thread count, which is what lets the parity property suite and the golden
 records extend to ``backend="jit"`` unchanged.
 
@@ -188,38 +187,6 @@ def _kernel_remove_class(verts, indptr, indices, colors, target, used):
         colors[v] = c
 
 
-def _kernel_kw_round(verts, indptr, indices, colors, block, target, used):
-    """One Kuhn–Wattenhofer round: each affected vertex takes its block's
-    smallest free lower slot.
-
-    A neighbor color ``b`` bans slot ``b % block`` iff it lies in the same
-    block and in the block's lower ``target`` slots.  Affected vertices of one
-    round share ``color % block`` but live in *different* blocks (their colors
-    differ), and a round recolors within the vertex's own block — so whether a
-    parallel iteration observes a neighbor's pre- or post-round color, that
-    color is in the neighbor's block, never the reader's, and the result is
-    identical.  ``used`` is scratch as in the removal kernel.
-    """
-    for r in prange(verts.shape[0]):
-        v = verts[r]
-        bo = colors[v] // block
-        base = r * target
-        for c in range(target):
-            used[base + c] = 0
-        for p in range(indptr[v], indptr[v + 1]):
-            b = colors[indices[p]]
-            if b // block == bo:
-                slot = b % block
-                if slot < target:
-                    used[base + slot] = 1
-        s = 0
-        while s < target and used[base + s] == 1:
-            s += 1
-        if s == target:
-            s = 0
-        colors[v] = bo * block + s
-
-
 def _kernel_attach(words, ends, fill, start, n, attach, mark):
     """Preferential attachment (Batagelj & Brandes): vertices ``start..n-1``
     each take ``attach`` distinct targets, in one pass over the endpoint pool.
@@ -267,7 +234,7 @@ def _kernel_attach(words, ends, fill, start, n, attach, mark):
 
 @dataclass
 class KernelProvider:
-    """A resolved compiled-kernel tier: the five kernels plus provenance."""
+    """A resolved compiled-kernel tier: the four kernels plus provenance."""
 
     kind: str  # "numba" | "cc" | "python"
     version: str
@@ -275,7 +242,6 @@ class KernelProvider:
     mother_first: Callable[..., None]
     coefficients: Callable[..., None]
     remove_class: Callable[..., None]
-    kw_round: Callable[..., None]
     attach: Callable[..., int]
     detail: dict[str, Any] = field(default_factory=dict)
 
@@ -312,7 +278,6 @@ def _numba_provider() -> KernelProvider | None:
             mother_first=njit(**flags)(_kernel_mother_first),
             coefficients=njit(**flags)(_kernel_coefficients),
             remove_class=njit(**flags)(_kernel_remove_class),
-            kw_round=njit(**flags)(_kernel_kw_round),
             attach=njit(cache=True, nogil=True)(_kernel_attach),
         )
     except Exception:  # pragma: no cover - depends on the numba install
@@ -337,7 +302,6 @@ def python_provider() -> KernelProvider:
         mother_first=_kernel_mother_first,
         coefficients=_kernel_coefficients,
         remove_class=_kernel_remove_class,
-        kw_round=_kernel_kw_round,
         attach=_kernel_attach,
     )
 
@@ -380,8 +344,8 @@ def reset_provider_cache() -> None:
 
 
 # --------------------------------------------------------------------------- #
-# The mother-algorithm driver (the reductions' drivers live in
-# repro.core.reduce next to their reference/array twins).
+# The mother-algorithm driver (the removal loop lives in repro.core.reduce
+# next to its reference/array twins).
 # --------------------------------------------------------------------------- #
 
 
@@ -394,7 +358,8 @@ def run_mother_jit(
     params: "MotherParameters | None" = None,
     validate_input: bool = True,
     workspace: Workspace | None = None,
-    kernels: KernelProvider | None = None,
+    *,
+    kernels: KernelProvider,
 ) -> "ColoringResult":
     """Algorithm 1 on the compiled kernels; same semantics and bit-identical
     outputs as :func:`repro.core.vectorized.run_mother_algorithm_vectorized`.
@@ -403,23 +368,12 @@ def run_mother_jit(
     refresh the active-vertex frontier only after adoptions, adopt the first
     qualifying trial — and delegates the per-batch scan to
     ``kernels.mother_first``, which reads the int32 coefficient table
-    ``kernels.coefficients`` fills.  With ``kernels=None`` the process-wide
-    provider is used; if none is available the call transparently runs the
-    array twin.
+    ``kernels.coefficients`` fills.  :class:`repro.engine.jit.JitEngine`
+    resolves ``kernels`` and runs the array twin when no tier resolves.
     """
     from repro.congest.ids import validate_proper_coloring
     from repro.core.params import MotherParameters, check_word_size
     from repro.core.results import ColoringResult
-
-    if kernels is None:
-        kernels = get_provider()
-    if kernels is None:
-        from repro.core.vectorized import run_mother_algorithm_vectorized
-
-        return run_mother_algorithm_vectorized(
-            graph, input_colors, m=m, d=d, k=k, params=params,
-            validate_input=validate_input, workspace=workspace,
-        )
 
     input_colors = np.ascontiguousarray(input_colors, dtype=np.int64)
     delta = max(1, graph.max_degree)

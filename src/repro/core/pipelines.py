@@ -179,10 +179,7 @@ def theorem13_coloring(
     # Keeping only the psi-monochromatic edges makes every class a union of
     # connected components, so one run over a group of classes colors each
     # class exactly as a run on that class alone would.
-    mono = psi.colors[graph.src_index] == psi.colors[graph.indices]
-    mono_indptr = np.zeros(graph.n + 1, dtype=np.int64)
-    np.cumsum(np.bincount(graph.src_index[mono], minlength=graph.n), out=mono_indptr[1:])
-    mono_graph = Graph.from_csr_arrays(mono_indptr, graph.indices[mono], copy=False)
+    mono_graph = graph.spanning_subgraph(psi.colors[graph.src_index] == psi.colors[graph.indices])
     psi_values, class_of = np.unique(psi.colors, return_inverse=True)
     class_degree = np.zeros(psi_values.size, dtype=np.int64)
     np.maximum.at(class_degree, class_of, mono_graph.degrees)

@@ -7,59 +7,59 @@ the mother algorithm has produced an ``O(Delta)`` or ``O(Delta^2)`` coloring:
   its ``k = 1`` algorithm ("we can use an additional ``O(Delta)`` rounds in
   each of which we remove a single color class"): in each round the vertices of
   the currently largest color value repick a free color in ``[Delta + 1]``.
-  One round per removed color class.
+  One round per removed color class.  This is the engines' second primitive,
+  :meth:`repro.engine.base.Engine.remove_color_class`.
 
 * :func:`kuhn_wattenhofer_reduction` — the classical block-halving reduction
   (Kuhn-Wattenhofer style, see also [BE09]): the color space is partitioned
   into blocks of ``2 (Delta + 1)`` colors, every block is reduced to
   ``Delta + 1`` colors in ``Delta + 1`` rounds *in parallel*, halving the
-  number of colors; ``O(Delta * log(m / Delta))`` rounds in total.
+  number of colors; ``O(Delta * log(m / Delta))`` rounds in total.  It is
+  composed from the removal primitive: one removal per phase, on the
+  subgraph of edges inside a block.
 
-Both functions simulate the distributed algorithm directly with arrays: a
-round consists of every affected vertex looking at its neighbors' *current*
-colors (one message each, clearly CONGEST) and recoloring simultaneously; the
-returned ``rounds`` is the number of such rounds.
+Both simulate the distributed algorithm directly with arrays: a round consists
+of every affected vertex looking at its neighbors' *current* colors (one
+message each, clearly CONGEST) and recoloring simultaneously; the returned
+``rounds`` is the number of such rounds.  Both resolve ``backend=`` through
+:func:`repro.engine.registry.get_engine`.
 
-Both reductions are backend-pluggable: ``backend="array"`` runs a
-frontier-compacted CSR implementation with bit-identical colors and round
-counts (the greedy "smallest free color" choice is deterministic, so the two
-paths agree exactly; this is property-tested in ``tests/test_engine_parity.py``
-and ``tests/test_kernel_compaction.py``).  The array paths gather only the
-CSR entries incident to the round's affected vertices
-(:meth:`repro.congest.graph.Graph.incident_csr_entries`), so a round costs
-``O(affected degree)`` instead of a full ``2|E|`` scan — over a whole
-reduction that is ``O(|E|)`` total work rather than ``O(color classes x |E|)``.
+Each engine's removal runs one of the per-class loops below inside
+:func:`run_removal` (copy, target check, result).  The loops give identical
+colors and round counts, because the greedy "smallest free color" choice is
+deterministic (property-tested in ``tests/test_engine_parity.py`` and
+``tests/test_kernel_compaction.py``):
 
-``backend="jit"`` keeps the exact same per-round structure but hands each
-round to a compiled kernel (:mod:`repro.core.kernels_jit`: numba or the C
-tier) that fuses the gather + occupancy scan into one pass per affected
-vertex; when no compiled tier is available it silently runs the array path
-(same results).  The optional ``kernels=`` parameter overrides the
-process-wide kernel provider — the jit engine threads its own provider
-through, and tests inject the pure-Python tier.
+* :func:`removal_loop_reference` — per-vertex Python sets;
+* :func:`removal_loop_array` — gathers only the CSR entries incident to the
+  round's class (:meth:`repro.congest.graph.Graph.incident_csr_entries`), so
+  a round costs ``O(affected degree)`` and a whole reduction ``O(|E| + n log
+  n)`` instead of ``O(color classes x |E|)``;
+* :func:`removal_loop_jit` — hands each class to a compiled kernel
+  (:mod:`repro.core.kernels_jit`: numba or the C tier) that fuses the gather
+  and the occupancy scan into one pass per affected vertex.
 """
 
 from __future__ import annotations
 
-import functools
+from typing import Callable
 
 import numpy as np
 
 from repro.congest.graph import Graph
 from repro.core.results import ColoringResult
 from repro.core.workspace import Workspace
-from repro.engine.base import UnknownBackendError
+from repro.engine.base import Engine
+from repro.engine.registry import get_engine
 
-__all__ = ["remove_color_class_reduction", "kuhn_wattenhofer_reduction"]
-
-#: Backend names the reduction dispatchers accept.
-_REDUCTION_BACKENDS = ("reference", "array", "jit")
-
-
-def _neighbor_color_sets(graph: Graph, colors: np.ndarray, vertices: np.ndarray) -> list[set[int]]:
-    return [
-        {int(colors[u]) for u in graph.neighbors(int(v))} for v in vertices
-    ]
+__all__ = [
+    "remove_color_class_reduction",
+    "kuhn_wattenhofer_reduction",
+    "run_removal",
+    "removal_loop_reference",
+    "removal_loop_array",
+    "removal_loop_jit",
+]
 
 
 def _validated_target(graph: Graph, target_colors: int | None) -> int:
@@ -73,99 +73,107 @@ def _validated_target(graph: Graph, target_colors: int | None) -> int:
     return int(target_colors)
 
 
-def _remove_color_class_reference(
-    graph: Graph, colors: np.ndarray, target_colors: int
-) -> tuple[np.ndarray, int]:
+def run_removal(
+    graph: Graph,
+    colors: np.ndarray,
+    target_colors: int | None,
+    backend: str,
+    loop: Callable[..., int],
+    *args,
+) -> ColoringResult:
+    """The envelope of every engine's color-class removal.
+
+    Copies ``colors`` as int64, checks ``target_colors`` (default
+    ``Delta + 1``), lets ``loop(graph, colors, target, *args)`` recolor the
+    copy in place and return its round count, and wraps the outcome.
+    """
+    colors = np.asarray(colors, dtype=np.int64).copy()
+    target = _validated_target(graph, target_colors)
+    rounds = loop(graph, colors, target, *args)
+    return ColoringResult(
+        colors=colors,
+        rounds=rounds,
+        color_space_size=target,
+        metadata={"method": "remove_color_class", "target_colors": target, "backend": backend},
+    )
+
+
+def removal_loop_reference(graph: Graph, colors: np.ndarray, target: int) -> int:
+    """Per-vertex Python sets: the highest class repicks until none is left."""
     rounds = 0
-    while colors.size and int(colors.max()) >= target_colors:
-        current = int(colors.max())
-        vertices = np.nonzero(colors == current)[0]
-        forbidden = _neighbor_color_sets(graph, colors, vertices)
+    while colors.size and int(colors.max()) >= target:
+        vertices = np.nonzero(colors == colors.max())[0]
+        forbidden = [{int(colors[u]) for u in graph.neighbors(int(v))} for v in vertices]
         for v, banned in zip(vertices, forbidden):
             c = 0
             while c in banned:
                 c += 1
             colors[v] = c
         rounds += 1
-    return colors, rounds
+    return rounds
 
 
-def _remove_color_class_array(
-    graph: Graph, colors: np.ndarray, target_colors: int
-) -> tuple[np.ndarray, int]:
-    """Compacted CSR implementation of the same reduction (identical colors and rounds).
+def _classes_from_top(colors: np.ndarray, target: int) -> list[np.ndarray]:
+    """The color classes at or above ``target``, highest color first.
 
-    Vertices are bucketed by color *once* (one stable argsort); colors at or
-    above the target are then processed in strictly decreasing order, and
-    since every recolored vertex lands *below* the target (a free column
-    exists because degree ``<= Delta < target_colors``), the initial buckets
-    are exactly the per-round affected sets.  Per round only the affected
-    vertices' incident CSR entries are gathered and their neighbors'
-    sub-``target`` colors scattered into a dense ``(affected, target)``
-    occupancy table; the first free column is the new color.  Neighbor colors
-    ``>= target_colors`` can never block the scan (the reference scan stops at
-    most at index ``Delta``), so dropping them is exact.  Total work over all
-    rounds is ``O(|E| + n log n)`` instead of ``O(color classes x |E|)``.
+    One stable argsort buckets the vertices.  Every recolored vertex lands
+    *below* the target (a free color exists because degree ``<= Delta <
+    target``), so these initial buckets are exactly the per-round classes.
     """
-    rounds = 0
-    if colors.size == 0 or int(colors.max()) < target_colors:
-        return colors, rounds
-    indices = graph.indices
-    ws = Workspace()
+    if colors.size == 0 or int(colors.max()) < target:
+        return []
     order = np.argsort(colors, kind="stable")
     sorted_colors = colors[order]
-    start = int(np.searchsorted(sorted_colors, target_colors, side="left"))
-    high = order[start:]
+    start = int(np.searchsorted(sorted_colors, target, side="left"))
     boundaries = np.nonzero(np.diff(sorted_colors[start:]))[0] + 1
-    for vertices in reversed(np.split(high, boundaries)):
+    return np.split(order[start:], boundaries)[::-1]
+
+
+def removal_loop_array(graph: Graph, colors: np.ndarray, target: int) -> int:
+    """Compacted CSR gather + occupancy scatter, one class per round.
+
+    Per round only the class's incident CSR entries are gathered and their
+    neighbors' sub-``target`` colors scattered into a dense
+    ``(class size, target)`` occupancy table; the first free column is the
+    new color.  Neighbor colors ``>= target`` can never block the scan (the
+    reference scan stops at most at index ``Delta``), so dropping them is
+    exact.
+    """
+    classes = _classes_from_top(colors, target)
+    ws = Workspace()
+    for vertices in classes:
         positions, rows = graph.incident_csr_entries(vertices)
-        nbr_idx = ws.gather("nbr_idx", indices, positions)
+        nbr_idx = ws.gather("nbr_idx", graph.indices, positions)
         nbr_colors = ws.gather("nbr_colors", colors, nbr_idx)
-        used = ws.zeros("used", vertices.size * target_colors, dtype=bool)
-        used = used.reshape(vertices.size, target_colors)
-        in_range = nbr_colors < target_colors
+        used = ws.zeros("used", vertices.size * target, dtype=bool)
+        used = used.reshape(vertices.size, target)
+        in_range = nbr_colors < target
         used[rows[in_range], nbr_colors[in_range]] = True
         np.logical_not(used, out=used)
         colors[vertices] = np.argmax(used, axis=1)
-        rounds += 1
-    return colors, rounds
+    return len(classes)
 
 
-def _remove_color_class_jit(
-    graph: Graph, colors: np.ndarray, target_colors: int, kernels
-) -> tuple[np.ndarray, int]:
-    """Compiled-kernel twin of :func:`_remove_color_class_array`.
+def removal_loop_jit(graph: Graph, colors: np.ndarray, target: int, kernels) -> int:
+    """One fused ``kernels.remove_class`` call per class.
 
-    Identical bucketing (one stable argsort, classes processed in strictly
-    decreasing color order); each class round is one fused kernel call that
-    walks every affected vertex's CSR range, marks sub-``target`` neighbor
-    colors in its own scratch row and adopts the first free column — the
-    same deterministic choice as the array path's ``argmax``, so colors and
-    round counts are bit-identical.
+    The kernel walks every class vertex's CSR range, marks sub-``target``
+    neighbor colors in its own scratch row and adopts the first free column:
+    the same choice as the array loop's ``argmax``.
     """
-    rounds = 0
-    if colors.size == 0 or int(colors.max()) < target_colors:
-        return colors, rounds
-    indptr, indices = graph.indptr, graph.indices
+    classes = _classes_from_top(colors, target)
     ws = Workspace()
-    order = np.argsort(colors, kind="stable")
-    sorted_colors = colors[order]
-    start = int(np.searchsorted(sorted_colors, target_colors, side="left"))
-    high = order[start:]
-    boundaries = np.nonzero(np.diff(sorted_colors[start:]))[0] + 1
-    for vertices in reversed(np.split(high, boundaries)):
-        used = ws.take("used", vertices.size * target_colors, np.uint8)
-        kernels.remove_class(vertices, indptr, indices, colors, target_colors, used)
-        rounds += 1
-    return colors, rounds
+    for vertices in classes:
+        used = ws.take("used", vertices.size * target, np.uint8)
+        kernels.remove_class(vertices, graph.indptr, graph.indices, colors, target, used)
+    return len(classes)
 
 
 def remove_color_class_reduction(
     graph: Graph,
     colors: np.ndarray,
     target_colors: int | None = None,
-    backend: str | object = "reference",
-    kernels=None,
+    backend: str | Engine = "reference",
 ) -> ColoringResult:
     """Reduce a proper coloring to ``target_colors`` (default ``Delta + 1``) colors.
 
@@ -177,126 +185,11 @@ def remove_color_class_reduction(
     ``Delta < target_colors``.
 
     Rounds: one per color value above ``target_colors`` that actually occurs.
-
-    ``backend`` selects the execution path: ``"reference"`` (per-vertex Python
-    sets), ``"array"`` (whole-graph CSR scatter) or ``"jit"`` (compiled
-    kernels; the array path when no compiled tier exists); all produce
-    identical colors and round counts.  An :class:`repro.engine.base.Engine`
-    instance is also accepted (its ``name`` selects the path).  ``kernels``
-    optionally overrides the jit tier's kernel provider.
+    ``backend`` (a registered name or an engine) picks the engine whose
+    :meth:`~repro.engine.base.Engine.remove_color_class` runs; all produce
+    identical colors and round counts.
     """
-    colors = np.asarray(colors, dtype=np.int64).copy()
-    target_colors = _validated_target(graph, target_colors)
-    backend_name = getattr(backend, "name", backend)
-    if backend_name == "jit":
-        if kernels is None:
-            from repro.core.kernels_jit import get_provider
-
-            kernels = get_provider()
-        if kernels is None:
-            colors, rounds = _remove_color_class_array(graph, colors, target_colors)
-        else:
-            colors, rounds = _remove_color_class_jit(graph, colors, target_colors, kernels)
-    elif backend_name == "array":
-        colors, rounds = _remove_color_class_array(graph, colors, target_colors)
-    elif backend_name == "reference":
-        colors, rounds = _remove_color_class_reference(graph, colors, target_colors)
-    else:
-        raise UnknownBackendError(
-            backend_name, _REDUCTION_BACKENDS, context="remove_color_class_reduction"
-        )
-    return ColoringResult(
-        colors=colors,
-        rounds=rounds,
-        color_space_size=target_colors,
-        metadata={
-            "method": "remove_color_class",
-            "target_colors": target_colors,
-            "backend": backend_name,
-        },
-    )
-
-
-def _kw_round_reference(
-    graph: Graph, colors: np.ndarray, affected: np.ndarray, block: int, target_colors: int,
-    ws: Workspace | None = None,
-) -> None:
-    """One KW round on the reference path: per-vertex Python sets."""
-    forbidden = _neighbor_color_sets(graph, colors, affected)
-    for v, banned in zip(affected, forbidden):
-        base = (int(colors[v]) // block) * block
-        # Pick a free slot within the block's lower target_colors colors.
-        banned_slots = {
-            b - base for b in banned if base <= b < base + target_colors
-        }
-        free = 0
-        while free in banned_slots:
-            free += 1
-        colors[v] = base + free
-    # (recoloring within the lower half of the same block keeps the
-    # coloring proper: affected vertices of one color value form an
-    # independent set, and they avoid neighbors' current colors)
-
-
-def _kw_round_array(
-    graph: Graph, colors: np.ndarray, affected: np.ndarray, block: int, target_colors: int,
-    ws: Workspace | None = None,
-) -> None:
-    """One KW round on the array path: compacted gather + occupancy scatter.
-
-    Only the affected vertices' incident CSR entries are touched.  A neighbor
-    color ``b`` bans slot ``b % block`` iff it lies in the same block
-    (``b // block`` equal) and in the block's lower ``target_colors`` slots —
-    exactly the ``base <= b < base + target_colors`` window of the reference
-    path, so the smallest free slot (``argmax`` over the negated occupancy
-    table) is bit-identical.  Scratch (gathered colors, occupancy table)
-    comes from the caller's :class:`Workspace` so successive rounds reuse one
-    set of buffers.
-    """
-    if ws is None:
-        ws = Workspace()
-    positions, rows = graph.incident_csr_entries(affected)
-    nbr_idx = ws.gather("nbr_idx", graph.indices, positions)
-    nbr_colors = ws.gather("nbr_colors", colors, nbr_idx)
-    block_of = colors[affected] // block
-    slot = nbr_colors % block
-    banned = ((nbr_colors // block) == block_of[rows]) & (slot < target_colors)
-    used = ws.zeros("used", affected.size * target_colors, dtype=bool)
-    used = used.reshape(affected.size, target_colors)
-    used[rows[banned], slot[banned]] = True
-    np.logical_not(used, out=used)
-    colors[affected] = block_of * block + np.argmax(used, axis=1)
-
-
-def _kw_round_jit(
-    graph: Graph, colors: np.ndarray, affected: np.ndarray, block: int, target_colors: int,
-    ws: Workspace | None = None, kernels=None,
-) -> None:
-    """One KW round on the compiled kernels (array path when none available).
-
-    The kernel fuses the gather + same-block occupancy scan of
-    :func:`_kw_round_array` into one pass per affected vertex; the smallest
-    free slot within the block's lower ``target_colors`` colors is the same
-    deterministic choice, so colors are bit-identical.
-    """
-    if kernels is None:
-        from repro.core.kernels_jit import get_provider
-
-        kernels = get_provider()
-    if kernels is None:
-        return _kw_round_array(graph, colors, affected, block, target_colors, ws)
-    if ws is None:
-        ws = Workspace()
-    used = ws.take("jit_used", affected.size * target_colors, np.uint8)
-    kernels.kw_round(affected, graph.indptr, graph.indices, colors, block,
-                     target_colors, used)
-
-
-_KW_ROUNDS = {
-    "reference": _kw_round_reference,
-    "array": _kw_round_array,
-    "jit": _kw_round_jit,
-}
+    return get_engine(backend).remove_color_class(graph, colors, target_colors=target_colors)
 
 
 def kuhn_wattenhofer_reduction(
@@ -304,81 +197,47 @@ def kuhn_wattenhofer_reduction(
     colors: np.ndarray,
     m: int,
     target_colors: int | None = None,
-    backend: str | object = "reference",
-    kernels=None,
+    backend: str | Engine = "reference",
 ) -> ColoringResult:
     """Block-halving reduction from an ``m``-coloring to ``Delta + 1`` colors.
 
     Each phase partitions the current color space ``[m']`` into blocks of
     ``2 (Delta + 1)`` consecutive colors.  Within every block (in parallel,
     using the block's own lower ``Delta + 1`` colors as the target space) the
-    upper colors are removed one value per round exactly as in
-    :func:`remove_color_class_reduction`.  A phase takes at most ``Delta + 1``
-    rounds and at least halves the number of colors, so the total round count
-    is ``O(Delta * log(m / Delta))`` — the classical bound the paper's
-    ``O(Delta)``-round algorithms improve upon.
-
-    ``backend`` selects the per-round execution path: ``"reference"``
-    (per-vertex Python sets), ``"array"`` (compacted CSR gather + occupancy
-    scatter), or ``"jit"`` (compiled kernels, array path when unavailable);
-    all produce identical colors, round and phase counts.  An
-    :class:`repro.engine.base.Engine` instance is also accepted (its ``name``
-    selects the path).  ``kernels`` optionally pins the compiled provider used
-    by the ``"jit"`` path (resolved lazily otherwise).
+    upper colors are removed one value per round, from the highest offset
+    down.  A vertex competes only with neighbors in its own block: any other
+    neighbor's color differs in the block part.  So a phase is one
+    color-class removal of ``colors % block`` on the subgraph of same-block
+    edges, run by ``backend``'s engine, after which every block keeps only
+    its lower half.  Every offset of every phase is charged a round,
+    occupied or not: a phase takes ``Delta + 1`` rounds and at least halves
+    the number of colors, so the total is ``O(Delta * log(m / Delta))`` —
+    the classical bound the paper's ``O(Delta)``-round algorithms improve
+    upon.
     """
+    engine = get_engine(backend)
     colors = np.asarray(colors, dtype=np.int64).copy()
-    delta = graph.max_degree
-    if target_colors is None:
-        target_colors = delta + 1
-    if target_colors < delta + 1:
-        raise ValueError(
-            f"cannot greedily reduce below Delta + 1 = {delta + 1} colors, requested {target_colors}"
-        )
+    target = _validated_target(graph, target_colors)
     if colors.size and int(colors.max()) >= m:
         raise ValueError("input coloring uses colors outside the declared space [m]")
-    backend_name = getattr(backend, "name", backend)
-    try:
-        kw_round = _KW_ROUNDS[backend_name]
-    except KeyError:
-        raise UnknownBackendError(
-            backend_name, _REDUCTION_BACKENDS, context="kuhn_wattenhofer_reduction"
-        ) from None
-    if backend_name == "jit" and kernels is not None:
-        kw_round = functools.partial(_kw_round_jit, kernels=kernels)
-
-    block = 2 * target_colors
+    block = 2 * target
     space = int(m)
-    rounds = 0
     phases = 0
-    ws = Workspace()
-
-    while space > target_colors:
+    while space > target:
         phases += 1
-        num_blocks = -(-space // block)
-        # Vertices are grouped by block; within a block the colors
-        # block_base + target_colors .. block_base + block - 1 are removed one
-        # value per round, all blocks in parallel (disjoint output spaces).
-        phase_rounds = 0
-        for offset in range(block - 1, target_colors - 1, -1):
-            phase_rounds += 1
-            affected = np.nonzero((colors % block) == offset)[0] if colors.size else np.empty(0, int)
-            if affected.size == 0:
-                continue
-            kw_round(graph, colors, affected, block, target_colors, ws)
-        rounds += phase_rounds
-        # Compact the color space: every block keeps only its lower half.
-        if colors.size:
-            colors = (colors // block) * target_colors + (colors % block)
-        space = num_blocks * target_colors
-
+        blocks = colors // block
+        same_block = graph.spanning_subgraph(blocks[graph.src_index] == blocks[graph.indices])
+        offsets = engine.remove_color_class(same_block, colors % block, target_colors=target)
+        colors = blocks * target + offsets.colors
+        space = -(-space // block) * target
     return ColoringResult(
         colors=colors,
-        rounds=rounds,
-        color_space_size=max(space, target_colors),
+        rounds=phases * target,
+        color_space_size=max(space, target),
         metadata={
             "method": "kuhn_wattenhofer",
             "phases": phases,
-            "target_colors": target_colors,
-            "backend": backend_name,
+            "target_colors": target,
+            "backend": engine.name,
         },
     )

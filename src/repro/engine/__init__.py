@@ -12,10 +12,10 @@ One backend API, three interchangeable implementations:
   compiled tier is available.
 
 Every algorithm in :mod:`repro.core` accepts ``backend=`` and routes its
-primitive steps (mother-algorithm invocations and color-class removal)
-through the selected engine; :class:`BatchRunner` sweeps whole
-(graph x seed x params) grids through a backend with shared precomputed
-CSR structures and optional built-in reference-parity checking.
+two primitive steps (mother-algorithm invocations and color-class removal)
+through the engine :func:`get_engine` selects; :class:`BatchRunner` sweeps
+whole (graph x seed x params) grids through a backend with shared
+precomputed CSR structures and optional built-in reference-parity checking.
 
 See ARCHITECTURE.md for the backend contract and parity guarantees.
 """

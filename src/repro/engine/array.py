@@ -1,7 +1,7 @@
 """The vectorized NumPy backend.
 
 Wraps the whole-graph CSR implementations — Algorithm 1 from
-:mod:`repro.core.vectorized` and the array color-class removal from
+:mod:`repro.core.vectorized` and the array color-class removal loop from
 :mod:`repro.core.reduce` — behind the :class:`repro.engine.base.Engine`
 contract.  Outputs are bit-identical to the reference backend
 (property-tested); the trade-off is that no per-message simulator metrics
@@ -53,21 +53,6 @@ class ArrayEngine(Engine):
         colors: np.ndarray,
         target_colors: int | None = None,
     ) -> ColoringResult:
-        from repro.core.reduce import remove_color_class_reduction
+        from repro.core.reduce import removal_loop_array, run_removal
 
-        return remove_color_class_reduction(
-            graph, colors, target_colors=target_colors, backend="array"
-        )
-
-    def kuhn_wattenhofer(
-        self,
-        graph: Graph,
-        colors: np.ndarray,
-        m: int,
-        target_colors: int | None = None,
-    ) -> ColoringResult:
-        from repro.core.reduce import kuhn_wattenhofer_reduction
-
-        return kuhn_wattenhofer_reduction(
-            graph, colors, m, target_colors=target_colors, backend="array"
-        )
+        return run_removal(graph, colors, target_colors, self.name, removal_loop_array)

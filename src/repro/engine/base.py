@@ -1,21 +1,20 @@
 """The backend contract of the execution-engine layer.
 
-An :class:`Engine` provides the primitive operations every coloring
+An :class:`Engine` provides the two primitive operations every coloring
 pipeline in the package is composed of:
 
 * :meth:`Engine.run_mother` — one invocation of Algorithm 1 / Theorem 1.1
   (the "mother algorithm") with parameters ``(m, d, k)``;
 * :meth:`Engine.remove_color_class` — the color-class-removal reduction used
-  as the finishing step of the ``(Delta + 1)`` pipeline;
-* :meth:`Engine.kuhn_wattenhofer` — the classical block-halving reduction
-  (the baseline the paper's reductions are compared against).
+  as the finishing step of the ``(Delta + 1)`` pipeline.
 
 Everything else (Linial's iterated reduction, the Corollary 1.2 wrappers, the
-Theorem 1.3 defective-class decomposition, ruling sets) is backend-generic
-composition living in :mod:`repro.core`; those functions accept a
-``backend=`` argument and route the primitives through the selected engine.
+Theorem 1.3 defective-class decomposition, ruling sets, the Kuhn-Wattenhofer
+halving baseline) is backend-generic composition living in
+:mod:`repro.core`; those functions accept a ``backend=`` argument and route
+the primitives through the selected engine.
 
-Two engines ship with the package (see :mod:`repro.engine.registry`):
+Three engines ship with the package (see :mod:`repro.engine.registry`):
 
 * ``"reference"`` — the model-faithful per-node CONGEST/LOCAL simulator.
   Every message is materialised and bit-accounted; results carry the
@@ -23,8 +22,10 @@ Two engines ship with the package (see :mod:`repro.engine.registry`):
 * ``"array"`` — the whole-graph NumPy twin over the CSR adjacency.  Produces
   bit-identical colors, parts, and round counts (property-tested), orders of
   magnitude faster, but reports no per-message metrics.
+* ``"jit"`` — compiled kernels bit-identical to the array twin, which it
+  falls back to when no compiled tier is available.
 
-The parity guarantee between the two is the load-bearing invariant of the
+The parity guarantee between them is the load-bearing invariant of the
 layer: any new backend must reproduce the reference outputs exactly.
 """
 
@@ -50,11 +51,10 @@ class EngineError(RuntimeError):
 class UnknownBackendError(EngineError, ValueError):
     """An unregistered backend name was requested.
 
-    Typed (and carrying ``backend`` and ``available``) so every resolution
-    path — :func:`repro.engine.registry.get_engine`, the reduction
-    dispatchers in :mod:`repro.core.reduce`, and ``Run.backend`` validation
-    in :mod:`repro.api.spec` — fails the same way, naming the accepted
-    backends instead of surfacing a bare ``KeyError``/``ValueError``.
+    Typed (and carrying ``backend`` and ``available``) so both resolution
+    paths — :func:`repro.engine.registry.get_engine` and ``Run.backend``
+    validation in :mod:`repro.api.spec` — fail the same way, naming the
+    accepted backends instead of surfacing a bare ``KeyError``/``ValueError``.
     Subclasses :class:`ValueError` so pre-existing ``except ValueError``
     call sites keep working.
     """
@@ -73,11 +73,9 @@ class UnknownBackendError(EngineError, ValueError):
 class Engine(abc.ABC):
     """A pluggable execution backend for the paper's algorithms.
 
-    Subclasses implement the abstract primitives below and may override
-    :meth:`kuhn_wattenhofer` (which defaults to the reference path); every
-    primitive must match the reference semantics exactly (same colors, same
-    part indices, same round counts) — callers are free to mix backends
-    across pipeline stages.
+    Subclasses implement the two abstract primitives below; each must match
+    the reference semantics exactly (same colors, same part indices, same
+    round counts) — callers are free to mix backends across pipeline stages.
     """
 
     #: Registry key and the value reported in result metadata.
@@ -108,25 +106,6 @@ class Engine(abc.ABC):
         target_colors: int | None = None,
     ) -> "ColoringResult":
         """Greedy color-class removal down to ``target_colors`` colors."""
-
-    def kuhn_wattenhofer(
-        self,
-        graph: "Graph",
-        colors: np.ndarray,
-        m: int,
-        target_colors: int | None = None,
-    ) -> "ColoringResult":
-        """Kuhn-Wattenhofer block-halving reduction down to ``target_colors``.
-
-        Concrete (not abstract) with a reference-path default so pre-existing
-        third-party engines keep working; the built-in engines override it
-        with their own execution path.
-        """
-        from repro.core.reduce import kuhn_wattenhofer_reduction
-
-        return kuhn_wattenhofer_reduction(
-            graph, colors, m, target_colors=target_colors, backend="reference"
-        )
 
     # ------------------------------------------------------------------ #
     # Lifecycle
@@ -171,11 +150,6 @@ class Engine(abc.ABC):
         relying on a once-per-process warning.
         """
         return self.name
-
-    @property
-    def collects_message_metrics(self) -> bool:
-        """Whether results carry per-message simulator metrics."""
-        return False
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"{type(self).__name__}(name={self.name!r})"

@@ -230,17 +230,16 @@ class BatchRunner:
         The engine (or backend name) every cell runs on; default ``"array"``,
         the fast path.
     parity_check:
-        Re-run every cell on ``parity_backend`` and require identical scalar
-        measurements and array artifacts (colors / parts / ruling sets).
-        This is the built-in reference-parity check of the engine layer.
-    parity_backend:
-        Backend to validate against (default ``"reference"``).
+        Re-run every cell on the reference backend and require identical
+        scalar measurements and array artifacts (colors / parts / ruling
+        sets).  This is the built-in reference-parity check of the engine
+        layer.
     workers:
         Number of worker processes :meth:`run` shards its cells across.  The
         default ``1`` executes serially in-process; ``N > 1`` requires
-        ``backend``/``parity_backend`` to be registered *names* (workers
-        rebuild their engines from the registry) and named or importable
-        tasks.  Records are identical either way.
+        ``backend`` to be a registered *name* (workers rebuild their engines
+        from the registry) and named or importable tasks.  Records are
+        identical either way.
     worker_init:
         Importable callable executed first in every worker process (e.g. to
         register a third-party backend); ignored when ``workers == 1``.
@@ -264,7 +263,6 @@ class BatchRunner:
         self,
         backend: str | Engine = "array",
         parity_check: bool = False,
-        parity_backend: str | Engine = "reference",
         workers: int = 1,
         worker_init: Callable[[], None] | None = None,
         start_method: str | None = None,
@@ -272,7 +270,7 @@ class BatchRunner:
     ):
         self.engine = get_engine(backend)
         self.parity_check = bool(parity_check)
-        self.parity_engine = get_engine(parity_backend)
+        self.parity_engine = get_engine("reference")
         self.workers = int(workers)
         if self.workers < 1:
             raise EngineError(f"workers must be >= 1, got {workers}")
@@ -288,7 +286,6 @@ class BatchRunner:
         # Registry names survive the trip to a worker process; live Engine
         # instances do not, so remember which kind we were given.
         self._backend_name = backend if isinstance(backend, str) else None
-        self._parity_backend_name = parity_backend if isinstance(parity_backend, str) else None
         self._graphs: dict[GraphSpec, Graph] = {}
         self._workloads: dict[GraphSpec, Workload] = {}
 
@@ -720,9 +717,9 @@ class BatchRunner:
         handles: dict[GraphSpec, Any] = {}
         try:
             if self.workers > 1 and len(pending) > 1:
-                if self._backend_name is None or self._parity_backend_name is None:
+                if self._backend_name is None:
                     raise EngineError(
-                        "parallel execution requires backends given as registered names "
+                        "parallel execution requires a backend given by one of the registered names "
                         "(workers rebuild their engines from the registry); pass e.g. "
                         "backend='array' or register_engine() your engine and use its name"
                     )
@@ -746,7 +743,6 @@ class BatchRunner:
                     workers=self.workers,
                     backend=self._backend_name,
                     parity_check=self.parity_check,
-                    parity_backend=self._parity_backend_name,
                     worker_init=self.worker_init,
                     start_method=self.start_method,
                     shared_graphs=handles,

@@ -1,17 +1,18 @@
 """The compiled multi-threaded backend.
 
-Routes the three :class:`repro.engine.base.Engine` primitives through the
+Routes the two :class:`repro.engine.base.Engine` primitives through the
 fused kernels of :mod:`repro.core.kernels_jit` — numba ``@njit`` when numba
 is installed, an OpenMP C extension compiled on first use otherwise (see
 :mod:`repro.core.kernels_cc`).  Outputs are bit-identical to the array
 backend (property-tested and golden-replayed); no per-message simulator
 metrics are produced.
 
-When neither compiled tier is available the engine degrades to the array
-backend, emitting a single :class:`RuntimeWarning` per process — results are
-still correct and identical, only slower.  ``REPRO_NUM_THREADS`` caps the
-kernel thread count; ``REPRO_JIT_DISABLE`` (comma-separated tier names) pins
-or disables tiers for testing.
+This engine is the one place the jit backend resolves its kernel provider
+and the one place it falls back: when neither compiled tier is available it
+runs the array backend, emitting a single :class:`RuntimeWarning` per
+process — results are still correct and identical, only slower.
+``REPRO_NUM_THREADS`` caps the kernel thread count; ``REPRO_JIT_DISABLE``
+(comma-separated tier names) pins or disables tiers for testing.
 """
 
 from __future__ import annotations
@@ -151,41 +152,18 @@ class JitEngine(Engine):
             return self._fallback.remove_color_class(
                 graph, colors, target_colors=target_colors
             )
-        from repro.core.reduce import remove_color_class_reduction
+        from repro.core.reduce import removal_loop_jit, run_removal
 
-        return remove_color_class_reduction(
-            graph, colors, target_colors=target_colors, backend="jit",
-            kernels=provider,
-        )
-
-    def kuhn_wattenhofer(
-        self,
-        graph: Graph,
-        colors: np.ndarray,
-        m: int,
-        target_colors: int | None = None,
-    ) -> ColoringResult:
-        self._fire_fault("kuhn_wattenhofer")
-        provider = self._resolve()
-        if provider is None:
-            return self._fallback.kuhn_wattenhofer(
-                graph, colors, m, target_colors=target_colors
-            )
-        from repro.core.reduce import kuhn_wattenhofer_reduction
-
-        return kuhn_wattenhofer_reduction(
-            graph, colors, m, target_colors=target_colors, backend="jit",
-            kernels=provider,
-        )
+        return run_removal(graph, colors, target_colors, self.name, removal_loop_jit, provider)
 
     # ------------------------------------------------------------------ #
     # Lifecycle / introspection
     # ------------------------------------------------------------------ #
 
     def warmup(self) -> None:
-        """Compile/load the kernels and run all three primitives on a tiny
-        graph, so numba's first-call compilation (or the C tier's first
-        ``dlopen``) never lands inside a timed sweep cell.  Idempotent."""
+        """Compile/load the kernels and run both primitives on a tiny graph,
+        so numba's first-call compilation (or the C tier's first ``dlopen``)
+        never lands inside a timed sweep cell.  Idempotent."""
         if self._warm:
             return
         self._warm = True
@@ -198,7 +176,6 @@ class JitEngine(Engine):
         try:
             self.run_mother(ring, colors, m=4, d=0, k=1, validate_input=False)
             self.remove_color_class(ring, colors, target_colors=3)
-            self.kuhn_wattenhofer(ring, colors, m=4)
         finally:
             self._warming = False
 

@@ -133,7 +133,6 @@ def _worker_main(
     conn,
     backend: str,
     parity_check: bool,
-    parity_backend: str,
     worker_init: Callable[[], None] | None,
     shared_graphs: Mapping[Any, Any] | None,
 ) -> None:
@@ -152,8 +151,7 @@ def _worker_main(
         if name not in runners:
             from repro.engine.batch import BatchRunner
 
-            runner = BatchRunner(backend=name, parity_check=parity_check,
-                                 parity_backend=parity_backend)
+            runner = BatchRunner(backend=name, parity_check=parity_check)
             if shared_graphs:
                 from repro.congest.graph import Graph
 
@@ -306,7 +304,6 @@ def run_cells_parallel(
     workers: int,
     backend: str,
     parity_check: bool,
-    parity_backend: str,
     worker_init: Callable[[], None] | None = None,
     start_method: str | None = None,
     shared_graphs: Mapping[Any, Any] | None = None,
@@ -345,7 +342,7 @@ def run_cells_parallel(
     ctx = mp.get_context(start_method or default_start_method())
     pool = _FaultTolerantPool(
         ctx, max(1, min(workers, len(jobs))),
-        (backend, parity_check, parity_backend, worker_init,
+        (backend, parity_check, worker_init,
          dict(shared_graphs) if shared_graphs else None),
     )
 

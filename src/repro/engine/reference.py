@@ -22,32 +22,12 @@ __all__ = ["ReferenceEngine"]
 class ReferenceEngine(Engine):
     """Per-node scheduler backend (the model-level artifact).
 
-    Parameters
-    ----------
-    model:
-        ``"CONGEST"`` (default, with per-message bit accounting) or
-        ``"LOCAL"``.
-    bandwidth_factor / strict_bandwidth:
-        Passed through to :class:`repro.congest.network.SynchronousNetwork`.
+    Runs Algorithm 1 under CONGEST with the simulator's default bandwidth
+    accounting (:func:`repro.core.algorithm1.run_mother_algorithm` keeps the
+    ``model`` and bandwidth knobs for direct callers).
     """
 
     name = "reference"
-
-    def __init__(
-        self,
-        model: str = "CONGEST",
-        bandwidth_factor: float = 32.0,
-        strict_bandwidth: bool = False,
-    ):
-        if model not in ("CONGEST", "LOCAL"):
-            raise ValueError(f"model must be 'CONGEST' or 'LOCAL', got {model!r}")
-        self.model = model
-        self.bandwidth_factor = float(bandwidth_factor)
-        self.strict_bandwidth = bool(strict_bandwidth)
-
-    @property
-    def collects_message_metrics(self) -> bool:
-        return True
 
     def run_mother(
         self,
@@ -69,9 +49,6 @@ class ReferenceEngine(Engine):
             k=k,
             params=params,
             validate_input=validate_input,
-            model=self.model,
-            bandwidth_factor=self.bandwidth_factor,
-            strict_bandwidth=self.strict_bandwidth,
         )
 
     def remove_color_class(
@@ -80,11 +57,6 @@ class ReferenceEngine(Engine):
         colors: np.ndarray,
         target_colors: int | None = None,
     ) -> ColoringResult:
-        from repro.core.reduce import remove_color_class_reduction
+        from repro.core.reduce import removal_loop_reference, run_removal
 
-        return remove_color_class_reduction(
-            graph, colors, target_colors=target_colors, backend="reference"
-        )
-
-    # kuhn_wattenhofer: the Engine base-class default already runs the
-    # reference path; no override needed.
+        return run_removal(graph, colors, target_colors, self.name, removal_loop_reference)

@@ -251,22 +251,8 @@ class ResultSink:
         self.resume = bool(resume)
         self.completed = {}
         self.written = 0
-        self._listeners: list[Callable[[str, Mapping[str, Any]], None]] = []
 
     # -- interface ------------------------------------------------------- #
-
-    def add_listener(self, listener: Callable[[str, Mapping[str, Any]], None]) -> None:
-        """Register ``listener(cell_id, record)``, called after each durable write.
-
-        The sink-layer progress hook: listeners fire only once the record has
-        been flushed to the file, so anything built on them (the job server's
-        SSE stream) never reports a cell the sink could still lose.
-        """
-        self._listeners.append(listener)
-
-    def _notify(self, cell: str, record: Mapping[str, Any]) -> None:
-        for listener in self._listeners:
-            listener(cell, record)
 
     def start(self, manifest: RunManifest) -> None:
         raise NotImplementedError
@@ -365,7 +351,6 @@ class JsonlSink(ResultSink):
         self._fire_write_fault(cell)
         self._emit({"cell": cell, "record": dict(record)})
         self.written += 1
-        self._notify(cell, record)
 
     def note(self, event: Mapping[str, Any]) -> None:
         self._emit({"event": dict(event)})
@@ -570,7 +555,6 @@ class CsvSink(ResultSink):
         resume."""
         self.note({"cell": cell, "event": "cell-error",
                    "error": dict(record.get("error") or {})})
-        self._notify(cell, record)
 
     def note(self, event: Mapping[str, Any]) -> None:
         self._events.append(dict(event))
@@ -612,7 +596,6 @@ class CsvSink(ResultSink):
         csv.writer(self._file).writerow(row)
         self._file.flush()
         self.written += 1
-        self._notify(cell, record)
 
     def close(self) -> None:
         if self._file is not None:

@@ -13,7 +13,8 @@ site       fired from
 ========== ===================================================================
 cell       the start of every cell attempt (serial runner and pool workers)
 sink-write just before a sink appends a record (JSONL and CSV)
-jit        the entry of every :class:`~repro.engine.jit.JitEngine` primitive
+jit        the entry of both :class:`~repro.engine.jit.JitEngine` primitives
+           (``run_mother``, ``remove_color_class``)
 server-cell the job server's per-cell progress hook (worker threads)
 ========== ===================================================================
 

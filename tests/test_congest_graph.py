@@ -153,6 +153,23 @@ class TestDerivedGraphs:
         with pytest.raises(GraphError):
             g.induced_subgraph([0, 99])
 
+    def test_spanning_subgraph_keeps_the_masked_edges(self):
+        g = generators.gnp(40, 0.2, seed=7)
+        side = np.arange(g.n) % 3
+        keep = side[g.src_index] == side[g.indices]
+        sub = g.spanning_subgraph(keep)
+        edges = g.edge_array()
+        want = Graph.from_edge_array(g.n, edges[side[edges[:, 0]] == side[edges[:, 1]]])
+        assert sub == want
+        assert sub.n == g.n and 0 < sub.num_edges < g.num_edges
+
+    def test_spanning_subgraph_extremes(self):
+        g = generators.ring(6)
+        assert g.spanning_subgraph(np.ones(g.indices.size, dtype=bool)) == g
+        empty = g.spanning_subgraph(np.zeros(g.indices.size, dtype=bool))
+        assert empty.n == 6 and empty.num_edges == 0
+        assert Graph(0).spanning_subgraph(np.zeros(0, dtype=bool)).n == 0
+
     def test_power_graph_of_path(self):
         g = generators.path(5)
         g2 = g.power_graph(2)

@@ -1,13 +1,88 @@
-"""Tests for the reductions to Delta + 1 colors."""
+"""Tests for the reductions to Delta + 1 colors.
+
+Kuhn-Wattenhofer halving is composed from the engines' color-class removal;
+:func:`kw_oracle` is the per-round loop it replaced, kept here to pin the
+composition on every backend.
+"""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from helpers import make_input_coloring
 from repro.congest import generators
+from repro.congest.graph import Graph
+from repro.congest.ids import random_proper_coloring
 from repro.core.corollaries import kdelta_coloring
-from repro.core.reduce import kuhn_wattenhofer_reduction, remove_color_class_reduction
+from repro.core.kernels_jit import get_provider, python_provider
+from repro.core.reduce import (
+    kuhn_wattenhofer_reduction,
+    remove_color_class_reduction,
+    removal_loop_array,
+    removal_loop_jit,
+    run_removal,
+)
 from repro.verify.coloring import assert_proper_coloring
+
+BACKENDS = ("reference", "array", "jit")
+
+
+def kw_oracle(graph: Graph, colors: np.ndarray, m: int, target: int):
+    """Block halving, one offset per round: ``(colors, rounds, phases, space)``.
+
+    In every block the vertices at one offset above ``target`` repick the
+    smallest lower slot no neighbor of the same block holds; every offset of
+    every phase is a round, occupied or not.
+    """
+    colors = np.asarray(colors, dtype=np.int64).copy()
+    block = 2 * target
+    space, rounds, phases = m, 0, 0
+    while space > target:
+        phases += 1
+        for offset in range(block - 1, target - 1, -1):
+            rounds += 1
+            affected = np.nonzero(colors % block == offset)[0]
+            banned = [{int(colors[u]) for u in graph.neighbors(int(v))} for v in affected]
+            for v, nbr_colors in zip(affected, banned):
+                base = (int(colors[v]) // block) * block
+                slots = {b - base for b in nbr_colors if base <= b < base + target}
+                free = 0
+                while free in slots:
+                    free += 1
+                colors[v] = base + free
+        colors = (colors // block) * target + colors % block
+        space = -(-space // block) * target
+    return colors, rounds, phases, max(space, target)
+
+
+def random_graph(family: str, n: int, degree: int, seed: int) -> Graph:
+    if n < 3:
+        return Graph(n)
+    if family == "gnp":
+        return generators.gnp(n, min(1.0, degree / n), seed=seed)
+    if family == "tree":
+        return generators.random_tree(n, seed=seed)
+    degree = min(degree, n - 1)
+    return generators.random_regular(n + (n * degree) % 2, degree, seed=seed)
+
+
+def spread_coloring(graph: Graph, m: int, seed: int) -> np.ndarray:
+    """A proper coloring whose classes land on distinct random colors of ``[m]``."""
+    colors, used = random_proper_coloring(graph, seed=seed)
+    rng = np.random.default_rng(seed)
+    return rng.permutation(max(m, used))[:used][colors]
+
+
+def assert_matches_oracle(graph: Graph, colors: np.ndarray, m: int, target: int):
+    want_colors, want_rounds, want_phases, want_space = kw_oracle(graph, colors, m, target)
+    for backend in BACKENDS:
+        got = kuhn_wattenhofer_reduction(graph, colors, m, target_colors=target, backend=backend)
+        assert np.array_equal(got.colors, want_colors), backend
+        assert got.rounds == want_rounds, backend
+        assert got.metadata["phases"] == want_phases, backend
+        assert got.color_space_size == want_space, backend
+    if graph.n:
+        assert_proper_coloring(graph, want_colors, max_colors=target)
 
 
 @pytest.fixture(scope="module")
@@ -90,3 +165,66 @@ class TestKuhnWattenhofer:
         res = kuhn_wattenhofer_reduction(g, colors, m=3)
         assert res.rounds == 0
         assert np.array_equal(res.colors, colors)
+        for target in (3, 4):  # m <= target: zero phases on every backend
+            assert_matches_oracle(g, colors, 3, target)
+
+
+class TestKuhnWattenhoferOracle:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        family=st.sampled_from(["gnp", "tree", "random_regular"]),
+        n=st.integers(min_value=0, max_value=60),
+        degree=st.integers(min_value=1, max_value=8),
+        extra=st.integers(min_value=0, max_value=3),
+        spread=st.integers(min_value=0, max_value=40),
+        seed=st.integers(min_value=0, max_value=10_000),
+    )
+    def test_every_backend_matches_the_oracle(self, family, n, degree, extra, spread, seed):
+        graph = random_graph(family, n, degree, seed)
+        target = graph.max_degree + 1 + extra
+        m = max(1, spread * (graph.max_degree + 1))
+        colors = spread_coloring(graph, m, seed)
+        assert_matches_oracle(graph, colors, max(m, int(colors.max(initial=0)) + 1), target)
+
+    def test_isolated_vertices(self):
+        graph = Graph(9, [(0, 1), (1, 2), (5, 6)])
+        colors = np.array([40, 3, 17, 38, 22, 9, 30, 0, 41])
+        assert_matches_oracle(graph, colors, 42, graph.max_degree + 1)
+
+    def test_partial_last_block(self):
+        # m is 2.5 blocks and the second phase's space 1.5 blocks, so the last
+        # block of both phases holds only half its offsets.
+        graph = generators.random_regular(40, 3, seed=2)
+        target = graph.max_degree + 1
+        colors = spread_coloring(graph, 5 * target, seed=2)
+        assert_matches_oracle(graph, colors, 5 * target, target)
+
+    def test_target_above_delta_plus_one(self):
+        graph = generators.gnp(50, 0.1, seed=4)
+        target = graph.max_degree + 4
+        colors = spread_coloring(graph, 30 * target, seed=4)
+        assert_matches_oracle(graph, colors, 30 * target, target)
+
+    def test_empty_graph_charges_every_round(self):
+        assert_matches_oracle(Graph(0), np.empty(0, dtype=np.int64), 64, 4)
+        res = kuhn_wattenhofer_reduction(Graph(0), np.empty(0, dtype=np.int64), 64, target_colors=4)
+        assert (res.metadata["phases"], res.rounds) == (4, 16)  # 64 -> 32 -> 16 -> 8 -> 4
+
+    @pytest.mark.parametrize("tier", ["python", "compiled"])
+    def test_removal_kernel_on_a_same_block_subgraph(self, tier):
+        # One phase of the composition: the jit loop on a kernel tier against
+        # the array loop, on the subgraph of edges inside a block.
+        kernels = python_provider() if tier == "python" else get_provider()
+        if kernels is None:
+            pytest.skip("no compiled kernel tier on this machine")
+        graph = generators.random_regular(80, 6, seed=3)
+        target = graph.max_degree + 1
+        block = 2 * target
+        colors = spread_coloring(graph, 5 * block, seed=3)
+        blocks = colors // block
+        same_block = graph.spanning_subgraph(blocks[graph.src_index] == blocks[graph.indices])
+        assert 0 < same_block.num_edges < graph.num_edges
+        want = run_removal(same_block, colors % block, target, "array", removal_loop_array)
+        got = run_removal(same_block, colors % block, target, "jit", removal_loop_jit, kernels)
+        assert want.rounds > 0
+        assert np.array_equal(got.colors, want.colors) and got.rounds == want.rounds

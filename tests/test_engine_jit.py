@@ -24,7 +24,7 @@ from hypothesis import given, settings, strategies as st
 
 from helpers import make_input_coloring
 from repro.congest import generators
-from repro.core import pipelines
+from repro.core import kernels_jit, pipelines
 from repro.core.kernels_jit import (
     get_provider,
     python_provider,
@@ -101,11 +101,18 @@ class TestJitResolution:
             get_engine("gpu")
 
     def test_reduction_dispatchers_raise_the_same_type(self, ring12):
+        # Both reductions resolve backend= through get_engine, so an unknown
+        # name fails exactly as engine resolution does.
         colors = np.arange(12)
-        with pytest.raises(UnknownBackendError, match="remove_color_class_reduction"):
-            remove_color_class_reduction(ring12, colors, backend="gpu")
-        with pytest.raises(UnknownBackendError, match="kuhn_wattenhofer_reduction"):
-            kuhn_wattenhofer_reduction(ring12, colors, 12, backend="gpu")
+        reductions = (
+            lambda: remove_color_class_reduction(ring12, colors, backend="gpu"),
+            lambda: kuhn_wattenhofer_reduction(ring12, colors, 12, backend="gpu"),
+        )
+        for reduction in reductions:
+            with pytest.raises(UnknownBackendError) as excinfo:
+                reduction()
+            assert excinfo.value.backend == "gpu"
+            assert excinfo.value.available == available_backends()
 
     def test_describe_backends_covers_jit(self):
         infos = {info["backend"]: info for info in describe_backends()}
@@ -237,8 +244,8 @@ class TestJitEngineParity:
                 jit.remove_color_class(graph, colors),
             )
             assert_coloring_parity(
-                arr.kuhn_wattenhofer(graph, colors, m),
-                jit.kuhn_wattenhofer(graph, colors, m),
+                kuhn_wattenhofer_reduction(graph, colors, m, backend=arr),
+                kuhn_wattenhofer_reduction(graph, colors, m, backend=jit),
             )
 
     def test_batch_runner_with_reference_parity_check(self):
@@ -282,14 +289,18 @@ class TestKernelTierParity:
         assert_coloring_parity(a, b)
         assert b.metadata["kernel"] == "python"
 
-    def test_python_tier_reduction_parity(self, petersen):
+    def test_python_tier_reduction_parity(self, petersen, monkeypatch):
+        # A jit engine resolved to the python tier runs the exact removal
+        # kernel the numba tier compiles, in both reductions.
+        monkeypatch.setattr(kernels_jit, "get_provider", python_provider)
+        engine = JitEngine()
+        assert engine.provider_kind == "python"
         colors, m = make_input_coloring(petersen, seed=9)
-        kernels = python_provider()
         a = remove_color_class_reduction(petersen, colors, backend="array")
-        b = remove_color_class_reduction(petersen, colors, backend="jit", kernels=kernels)
+        b = remove_color_class_reduction(petersen, colors, backend=engine)
         assert np.array_equal(a.colors, b.colors) and a.rounds == b.rounds
         ka = kuhn_wattenhofer_reduction(petersen, colors, m, backend="array")
-        kb = kuhn_wattenhofer_reduction(petersen, colors, m, backend="jit", kernels=kernels)
+        kb = kuhn_wattenhofer_reduction(petersen, colors, m, backend=engine)
         assert np.array_equal(ka.colors, kb.colors) and ka.rounds == kb.rounds
 
     def test_cc_tier_when_compiler_present(self):
@@ -424,6 +435,33 @@ class TestCoefficientTable:
         with pytest.raises((TypeError, ValueError)):
             kernels.coefficients(colors[::2], 7, table[:3])
 
+    def test_c_remove_class_checks_its_arrays(self):
+        from repro.core.kernels_cc import cc_provider
+
+        kernels = cc_provider()
+        if kernels is None:
+            pytest.skip("no C compiler on this machine")
+        graph = generators.ring(6)
+        verts = np.array([0, 2, 4], dtype=np.int64)
+        used = np.empty(verts.size * 3, dtype=np.uint8)
+
+        def remove(verts=verts, indptr=graph.indptr, colors=None, used=used):
+            colors = np.array([5, 1, 4, 0, 3, 2]) if colors is None else colors
+            kernels.remove_class(verts, indptr, graph.indices, colors, 3, used)
+            return colors
+
+        assert remove().tolist() == [0, 1, 2, 0, 1, 2]  # well-formed: accepted
+        with pytest.raises(TypeError):
+            remove(colors=np.array([5, 1, 4, 0, 3, 2], dtype=np.int32))
+        with pytest.raises(TypeError):
+            remove(verts=np.arange(6, dtype=np.int64)[::2])
+        with pytest.raises(TypeError):
+            remove(used=used.astype(bool))
+        with pytest.raises(ValueError):
+            remove(used=used[:-1])
+        with pytest.raises(ValueError):
+            remove(indptr=graph.indptr[:-1].copy())
+
 
 # --------------------------------------------------------------------------- #
 # The fallback path: no compiled tier at all
@@ -476,7 +514,8 @@ class TestFallback:
             arr.remove_color_class(graph, colors), engine.remove_color_class(graph, colors)
         )
         assert_coloring_parity(
-            arr.kuhn_wattenhofer(graph, colors, m), engine.kuhn_wattenhofer(graph, colors, m)
+            kuhn_wattenhofer_reduction(graph, colors, m, backend=arr),
+            kuhn_wattenhofer_reduction(graph, colors, m, backend=engine),
         )
 
     def test_disable_env_forces_fallback_without_monkeypatching_imports(

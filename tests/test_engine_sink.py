@@ -356,25 +356,6 @@ class TestCsvTypedSchema:
             CsvSink(path, resume=True).start(manifest())
 
 
-class TestSinkListeners:
-    def test_listener_fires_after_each_durable_write(self, tmp_path):
-        seen = []
-        with JsonlSink(tmp_path / "run.jsonl") as sink:
-            sink.add_listener(lambda cell, record: seen.append((cell, dict(record))))
-            sink.start(manifest())
-            sink.write("c0", RECORDS[0])
-            sink.write("c1", RECORDS[1])
-        assert seen == [("c0", RECORDS[0]), ("c1", RECORDS[1])]
-
-    def test_csv_sink_notifies_too(self, tmp_path):
-        seen = []
-        with CsvSink(tmp_path / "run.csv") as sink:
-            sink.add_listener(lambda cell, record: seen.append(cell))
-            sink.start(manifest())
-            sink.write("c0", RECORDS[0])
-        assert seen == ["c0"]
-
-
 class TestBackendTier:
     def test_runner_manifest_carries_active_tier(self):
         runner = BatchRunner(backend="array")

@@ -1,13 +1,14 @@
 """Parity and edge-case tests for the frontier-compacted array kernels.
 
 The compacted kernels (lazy sequence evaluation + active-subgraph gathering in
-``repro.core.vectorized``, bucketed color-class removal and the Kuhn-
-Wattenhofer array path in ``repro.core.reduce``, the cached edge-source array
-and :meth:`Graph.incident_csr_entries` in ``repro.congest.graph``) must be
-*bit-identical* to the reference implementations — these tests pin that over
-random graph families and over the degenerate shapes the compaction logic has
-to get right: empty graphs, isolated vertices, ``Delta = 1``, and single-batch
-(everyone adopts in round 1) runs.
+``repro.core.vectorized``, bucketed color-class removal and the
+Kuhn-Wattenhofer halving composed from it in ``repro.core.reduce``, the
+cached edge-source array and :meth:`Graph.incident_csr_entries` in
+``repro.congest.graph``) must be *bit-identical* to the reference
+implementations — these tests pin that over random graph families and over
+the degenerate shapes the compaction logic has to get right: empty graphs,
+isolated vertices, ``Delta = 1``, and single-batch (everyone adopts in round
+1) runs.
 """
 
 import numpy as np
@@ -29,7 +30,7 @@ from repro.core.vectorized import (
     run_mother_algorithm_vectorized,
     sequence_coefficients,
 )
-from repro.engine import get_engine
+from repro.engine import ArrayEngine, get_engine
 from repro.verify.coloring import assert_proper_coloring
 
 
@@ -221,13 +222,26 @@ class TestKuhnWattenhoferArrayPath:
             kuhn_wattenhofer_reduction(g, np.arange(6) % 3, m=6, backend="gpu")
 
     def test_engine_contract_routing(self, random_regular8):
+        # Each phase is one remove_color_class call on the given engine.
+        class CountingEngine(ArrayEngine):
+            calls = 0
+
+            def remove_color_class(self, graph, colors, target_colors=None):
+                CountingEngine.calls += 1
+                return super().remove_color_class(graph, colors, target_colors)
+
         colors, m = make_input_coloring(random_regular8, seed=4)
-        via_array = get_engine("array").kuhn_wattenhofer(random_regular8, colors, m)
-        via_reference = get_engine("reference").kuhn_wattenhofer(random_regular8, colors, m)
+        via_array = kuhn_wattenhofer_reduction(random_regular8, colors, m,
+                                               backend=get_engine("array"))
+        via_reference = kuhn_wattenhofer_reduction(random_regular8, colors, m,
+                                                   backend=get_engine("reference"))
         assert via_array.metadata["backend"] == "array"
         assert via_reference.metadata["backend"] == "reference"
         assert np.array_equal(via_array.colors, via_reference.colors)
         assert via_array.rounds == via_reference.rounds
+        counted = kuhn_wattenhofer_reduction(random_regular8, colors, m, backend=CountingEngine())
+        assert CountingEngine.calls == counted.metadata["phases"] > 0
+        assert np.array_equal(counted.colors, via_array.colors)
 
 
 class TestValidationHoisting:
