@@ -125,29 +125,38 @@ void repro_mother_first(int64_t nact, const int64_t *act,
     }
 }
 
-void repro_remove_class(int64_t nv, const int64_t *verts,
-                        const int64_t *indptr, const int64_t *indices,
-                        int64_t *colors, int64_t target, uint8_t *used)
+/* Color-class removal: class i is order[starts[i] .. starts[i + 1]); the
+   classes run in order, each one's vertices in parallel. */
+void repro_remove_classes(int64_t nclass, const int64_t *order,
+                          const int64_t *starts, const int64_t *indptr,
+                          const int64_t *indices, int64_t *colors,
+                          int64_t target, uint8_t *used)
 {
 #ifdef _OPENMP
-#pragma omp parallel for schedule(static)
+#pragma omp parallel
 #endif
-    for (int64_t r = 0; r < nv; r++) {
-        int64_t v = verts[r];
-        uint8_t *row = used + r * target;
-        for (int64_t c = 0; c < target; c++)
-            row[c] = 0;
-        for (int64_t p = indptr[v]; p < indptr[v + 1]; p++) {
-            int64_t b = colors[indices[p]];
-            if (b >= 0 && b < target)
-                row[b] = 1;
+    for (int64_t i = 0; i < nclass; i++) {
+        int64_t lo = starts[i], nv = starts[i + 1] - lo;
+#ifdef _OPENMP
+#pragma omp for schedule(static)
+#endif
+        for (int64_t r = 0; r < nv; r++) {
+            int64_t v = order[lo + r];
+            uint8_t *row = used + r * target;
+            for (int64_t c = 0; c < target; c++)
+                row[c] = 0;
+            for (int64_t p = indptr[v]; p < indptr[v + 1]; p++) {
+                int64_t b = colors[indices[p]];
+                if (b >= 0 && b < target)
+                    row[b] = 1;
+            }
+            int64_t c = 0;
+            while (c < target && row[c])
+                c++;
+            if (c == target)  /* cannot happen on valid input; mirrors argmax */
+                c = 0;
+            colors[v] = c;
         }
-        int64_t c = 0;
-        while (c < target && row[c])
-            c++;
-        if (c == target)  /* cannot happen on valid input; mirrors argmax */
-            c = 0;
-        colors[v] = c;
     }
 }
 
@@ -314,10 +323,10 @@ class _CcKernels:
             POINTER(c_uint8), POINTER(c_int64), c_int64, c_int64,
             POINTER(c_int64), POINTER(c_int64),
         ]
-        lib.repro_remove_class.restype = None
-        lib.repro_remove_class.argtypes = [
+        lib.repro_remove_classes.restype = None
+        lib.repro_remove_classes.argtypes = [
             c_int64, POINTER(c_int64), POINTER(c_int64), POINTER(c_int64),
-            POINTER(c_int64), c_int64, POINTER(c_uint8),
+            POINTER(c_int64), POINTER(c_int64), c_int64, POINTER(c_uint8),
         ]
         lib.repro_attach.restype = c_int64
         lib.repro_attach.argtypes = [
@@ -358,18 +367,23 @@ class _CcKernels:
             _pu8(active), _p64(colors), lo, hi, _p64(first), _p64(firstval),
         )
 
-    def remove_class(self, verts, indptr, indices, colors, target, used) -> None:
-        _require("remove_class", np.int64, verts, indptr, indices, colors)
-        _require("remove_class", np.uint8, used)
+    def remove_classes(self, order, starts, indptr, indices, colors, target, used) -> None:
+        _require("remove_classes", np.int64, order, starts, indptr, indices, colors)
+        _require("remove_classes", np.uint8, used)
+        sizes = np.diff(starts)
+        if starts.size < 1 or starts[0] != 0 or starts[-1] != order.size \
+                or sizes.min(initial=0) < 0:
+            raise ValueError("remove_classes kernel: starts must rise from 0 "
+                             "to len(order)")
         if indptr.size != colors.size + 1:
-            raise ValueError("remove_class kernel: indptr and colors disagree "
+            raise ValueError("remove_classes kernel: indptr and colors disagree "
                              "on the vertex count")
-        if used.size < verts.size * target:
-            raise ValueError("remove_class kernel: used is shorter than "
-                             "len(verts) * target")
-        self._lib.repro_remove_class(
-            verts.size, _p64(verts), _p64(indptr), _p64(indices),
-            _p64(colors), target, _pu8(used),
+        if used.size < sizes.max(initial=0) * target:
+            raise ValueError("remove_classes kernel: used is shorter than "
+                             "the largest class * target")
+        self._lib.repro_remove_classes(
+            starts.size - 1, _p64(order), _p64(starts), _p64(indptr),
+            _p64(indices), _p64(colors), target, _pu8(used),
         )
 
     def attach(self, words, ends, fill, start, n, attach, mark) -> int:
@@ -419,7 +433,7 @@ def cc_provider(cache_dir: str | os.PathLike | None = None):
         threads=threads,
         mother_first=kernels.mother_first,
         coefficients=kernels.coefficients,
-        remove_class=kernels.remove_class,
+        remove_classes=kernels.remove_classes,
         attach=kernels.attach,
         detail={"library": str(sofile), **info},
     )

@@ -43,7 +43,7 @@ backend degrades to the array backend (see :mod:`repro.engine.jit`).
 
 Determinism under threads is by construction, not by locking: iteration
 ``r`` of every parallel loop writes only slot ``r`` of its output (mother
-kernel) or ``colors[verts[r]]`` where ``verts`` is an independent set
+kernel) or ``colors[v]`` for ``v`` in one color class, an independent set
 (color-class removal) — no iteration reads a cell another iteration of the
 same call writes.  Outputs are therefore bit-identical for any
 thread count, which is what lets the parity property suite and the golden
@@ -161,30 +161,35 @@ def _kernel_coefficients(colors, q, out):
             rest //= q
 
 
-def _kernel_remove_class(verts, indptr, indices, colors, target, used):
-    """Recolor one color class: each vertex takes its smallest free color.
+def _kernel_remove_classes(order, starts, indptr, indices, colors, target, used):
+    """Color-class removal: the classes in turn, each vertex taking its
+    smallest free color.
 
-    ``verts`` share one color of a proper coloring, hence form an independent
-    set: no vertex's neighborhood intersects ``verts``, so the parallel loop
-    reads only colors this call never writes.  ``used`` is a
-    ``len(verts) * target`` uint8 scratch row-block (zeroed per row here).
+    Class ``i`` is ``order[starts[i]:starts[i + 1]]``; the classes run in
+    this fixed order (highest color first) and the vertices of one class in
+    parallel.  A class shares one color of a proper coloring, hence is an
+    independent set: no vertex's neighborhood intersects it, so the parallel
+    loop reads only colors the class never writes.  ``used`` is a
+    ``largest class * target`` uint8 scratch row-block (zeroed per row here).
     Mirrors the array path exactly, including ``argmax``-over-all-False -> 0.
     """
-    for r in prange(verts.shape[0]):
-        v = verts[r]
-        base = r * target
-        for c in range(target):
-            used[base + c] = 0
-        for p in range(indptr[v], indptr[v + 1]):
-            b = colors[indices[p]]
-            if b >= 0 and b < target:
-                used[base + b] = 1
-        c = 0
-        while c < target and used[base + c] == 1:
-            c += 1
-        if c == target:
+    for i in range(starts.shape[0] - 1):
+        lo = starts[i]
+        for r in prange(starts[i + 1] - lo):
+            v = order[lo + r]
+            base = r * target
+            for c in range(target):
+                used[base + c] = 0
+            for p in range(indptr[v], indptr[v + 1]):
+                b = colors[indices[p]]
+                if b >= 0 and b < target:
+                    used[base + b] = 1
             c = 0
-        colors[v] = c
+            while c < target and used[base + c] == 1:
+                c += 1
+            if c == target:
+                c = 0
+            colors[v] = c
 
 
 def _kernel_attach(words, ends, fill, start, n, attach, mark):
@@ -241,7 +246,7 @@ class KernelProvider:
     threads: int
     mother_first: Callable[..., None]
     coefficients: Callable[..., None]
-    remove_class: Callable[..., None]
+    remove_classes: Callable[..., None]
     attach: Callable[..., int]
     detail: dict[str, Any] = field(default_factory=dict)
 
@@ -277,7 +282,7 @@ def _numba_provider() -> KernelProvider | None:
             threads=int(numba.get_num_threads()),
             mother_first=njit(**flags)(_kernel_mother_first),
             coefficients=njit(**flags)(_kernel_coefficients),
-            remove_class=njit(**flags)(_kernel_remove_class),
+            remove_classes=njit(**flags)(_kernel_remove_classes),
             attach=njit(cache=True, nogil=True)(_kernel_attach),
         )
     except Exception:  # pragma: no cover - depends on the numba install
@@ -301,7 +306,7 @@ def python_provider() -> KernelProvider:
         threads=1,
         mother_first=_kernel_mother_first,
         coefficients=_kernel_coefficients,
-        remove_class=_kernel_remove_class,
+        remove_classes=_kernel_remove_classes,
         attach=_kernel_attach,
     )
 

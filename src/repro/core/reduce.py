@@ -35,9 +35,10 @@ deterministic (property-tested in ``tests/test_engine_parity.py`` and
   round's class (:meth:`repro.congest.graph.Graph.incident_csr_entries`), so
   a round costs ``O(affected degree)`` and a whole reduction ``O(|E| + n log
   n)`` instead of ``O(color classes x |E|)``;
-* :func:`removal_loop_jit` — hands each class to a compiled kernel
-  (:mod:`repro.core.kernels_jit`: numba or the C tier) that fuses the gather
-  and the occupancy scan into one pass per affected vertex.
+* :func:`removal_loop_jit` — hands the whole reduction to one compiled
+  kernel call (:mod:`repro.core.kernels_jit`: numba or the C tier), which
+  runs the classes in order and fuses the gather and the occupancy scan
+  into one pass per affected vertex.
 """
 
 from __future__ import annotations
@@ -113,20 +114,21 @@ def removal_loop_reference(graph: Graph, colors: np.ndarray, target: int) -> int
     return rounds
 
 
-def _classes_from_top(colors: np.ndarray, target: int) -> list[np.ndarray]:
+def _classes_from_top(colors: np.ndarray, target: int) -> tuple[np.ndarray, np.ndarray]:
     """The color classes at or above ``target``, highest color first.
 
-    One stable argsort buckets the vertices.  Every recolored vertex lands
+    Returns ``(order, starts)``: class ``i`` is ``order[starts[i]:starts[i +
+    1]]``, in ascending vertex order, and ``starts[-1] == order.size``.  One
+    stable argsort buckets the vertices.  Every recolored vertex lands
     *below* the target (a free color exists because degree ``<= Delta <
     target``), so these initial buckets are exactly the per-round classes.
     """
-    if colors.size == 0 or int(colors.max()) < target:
-        return []
-    order = np.argsort(colors, kind="stable")
-    sorted_colors = colors[order]
-    start = int(np.searchsorted(sorted_colors, target, side="left"))
-    boundaries = np.nonzero(np.diff(sorted_colors[start:]))[0] + 1
-    return np.split(order[start:], boundaries)[::-1]
+    high = np.flatnonzero(colors >= target)
+    order = high[np.argsort(-colors[high], kind="stable")]
+    if order.size == 0:
+        return order, np.zeros(1, dtype=np.int64)
+    boundaries = np.flatnonzero(np.diff(colors[order])) + 1
+    return order, np.concatenate(([0], boundaries, [order.size]))
 
 
 def removal_loop_array(graph: Graph, colors: np.ndarray, target: int) -> int:
@@ -139,9 +141,10 @@ def removal_loop_array(graph: Graph, colors: np.ndarray, target: int) -> int:
     reference scan stops at most at index ``Delta``), so dropping them is
     exact.
     """
-    classes = _classes_from_top(colors, target)
+    order, starts = _classes_from_top(colors, target)
     ws = Workspace()
-    for vertices in classes:
+    for lo, hi in zip(starts[:-1], starts[1:]):
+        vertices = order[lo:hi]
         positions, rows = graph.incident_csr_entries(vertices)
         nbr_idx = ws.gather("nbr_idx", graph.indices, positions)
         nbr_colors = ws.gather("nbr_colors", colors, nbr_idx)
@@ -151,22 +154,22 @@ def removal_loop_array(graph: Graph, colors: np.ndarray, target: int) -> int:
         used[rows[in_range], nbr_colors[in_range]] = True
         np.logical_not(used, out=used)
         colors[vertices] = np.argmax(used, axis=1)
-    return len(classes)
+    return starts.size - 1
 
 
 def removal_loop_jit(graph: Graph, colors: np.ndarray, target: int, kernels) -> int:
-    """One fused ``kernels.remove_class`` call per class.
+    """The whole reduction in one fused ``kernels.remove_classes`` call.
 
-    The kernel walks every class vertex's CSR range, marks sub-``target``
-    neighbor colors in its own scratch row and adopts the first free column:
-    the same choice as the array loop's ``argmax``.
+    The kernel runs the classes in their fixed order and, within a class,
+    walks every vertex's CSR range, marks sub-``target`` neighbor colors in
+    its own scratch row and adopts the first free column: the same choice as
+    the array loop's ``argmax``.
     """
-    classes = _classes_from_top(colors, target)
-    ws = Workspace()
-    for vertices in classes:
-        used = ws.take("used", vertices.size * target, np.uint8)
-        kernels.remove_class(vertices, graph.indptr, graph.indices, colors, target, used)
-    return len(classes)
+    order, starts = _classes_from_top(colors, target)
+    widest = int(np.diff(starts).max(initial=0))
+    used = np.empty(widest * target, dtype=np.uint8)
+    kernels.remove_classes(order, starts, graph.indptr, graph.indices, colors, target, used)
+    return starts.size - 1
 
 
 def remove_color_class_reduction(

@@ -13,21 +13,28 @@ arrays covering only the still-active subgraph:
 * conflict counting is one 2-D scatter-add over the compacted edges
   (``bincount`` on flattened ``(row, trial)`` indices) instead of a Python
   loop over the batch's trial positions with full-size temporaries;
-* within a batch the trial axis is processed in bounded-memory chunks with
-  per-row early exit — a row that already found its first ``d``-proper trial
-  is dropped from the remaining chunks (the adopted trial is the *first*
-  qualifying one either way, so outputs are unchanged);
+* within a batch the trial axis is processed in chunks sized by the work
+  that is left: the first chunk is one trial wide and each later one twice
+  as wide as the one before, capped by the batch end and by a budget of
+  ``_CHUNK_CELLS`` edge-trial cells.  A neighbor's polynomial agrees with a
+  node's on at most ``f`` points, so almost every row adopts at its first
+  trial even in Linial's single ``k = q`` batch.  Rows that found their
+  first ``d``-proper trial are dropped from the remaining chunks (the
+  adopted trial is the *first* qualifying one however the axis is cut, so
+  outputs are unchanged);
 * polynomial sequences are evaluated *lazily*: instead of the dense ``(n, q)``
   table of :func:`evaluate_all_sequences` (which dominates the runtime once
   the round loop is compacted), each chunk Horner-evaluates exactly the
-  vertices it touches at exactly the chunk's trial positions.  Modular
-  arithmetic is exact, so the lazily computed values are bit-identical to the
-  table's.  The coefficients come from one int64 ``(n, f + 1)`` table
-  (:func:`sequence_coefficients`), and ``q < 2**31`` is required
-  (:func:`repro.core.params.check_word_size`), which keeps every int64
-  Horner step ``acc * x + c`` exact;
+  vertices it touches — the undone rows' own vertices and the active
+  neighbors of their entries — at exactly the chunk's trial positions, and
+  a row that finds its trial adopts the value already in that table.
+  Modular arithmetic is exact, so the lazily computed values are
+  bit-identical to the table's.  The coefficients come from one int64
+  ``(n, f + 1)`` table (:func:`sequence_coefficients`), and ``q < 2**31``
+  is required (:func:`repro.core.params.check_word_size`), which keeps
+  every int64 Horner step ``acc * x + c`` exact;
 * recurring per-round temporaries (gathered neighbor colors and activity
-  flags, first-slot/undone trackers, Horner accumulators) live in a
+  flags, first-slot/value/undone trackers, Horner accumulators) live in a
   :class:`repro.core.workspace.Workspace` arena — named grow-only buffers
   reused across rounds and chunks, so a steady-state round performs no
   scratch allocations proportional to the graph.
@@ -50,9 +57,8 @@ from repro.core.workspace import Workspace
 __all__ = ["run_mother_algorithm_vectorized", "evaluate_all_sequences"]
 
 #: Budget (in edge x trial cells) for one conflict-counting chunk.  Bounds the
-#: per-chunk temporaries to a few tens of MB regardless of graph size while
-#: leaving single-batch calls (Linial: the whole sequence in one batch) enough
-#: width per chunk to stay vectorized.
+#: per-chunk temporaries to a few tens of MB regardless of graph size; the
+#: chunks of a batch grow 1, 2, 4, ... trials up to it.
 _CHUNK_CELLS = 2 * 1024 * 1024
 
 
@@ -69,8 +75,7 @@ def sequence_coefficients(input_colors: np.ndarray, params: MotherParameters) ->
     coeffs = np.empty((colors.shape[0], params.f + 1), dtype=np.int64)
     rest = colors + q
     for j in range(params.f + 1):
-        coeffs[:, j] = rest % q
-        rest //= q
+        np.divmod(rest, q, out=(rest, coeffs[:, j]))
     return coeffs
 
 
@@ -145,15 +150,6 @@ def run_mother_algorithm_vectorized(
             np.mod(acc, q, out=acc)
         return acc
 
-    def eval_at(verts: np.ndarray, xs: np.ndarray) -> np.ndarray:
-        """``p_{c(verts[i])}(xs[i])`` — one position per vertex."""
-        acc = ws.zeros("eval_at", verts.size)
-        for j in range(f, -1, -1):
-            np.multiply(acc, xs, out=acc)
-            np.add(acc, coeffs[verts, j], out=acc)
-            np.mod(acc, q, out=acc)
-        return acc
-
     indices = graph.indices
 
     colors = -np.ones(n, dtype=np.int64)
@@ -185,36 +181,39 @@ def run_mother_algorithm_vectorized(
         num_active = act.size
 
         # first[r] = first trial position in [lo, hi) with <= d conflicts for
-        # act[r], or -1.  The trial axis is chunked to bound the temporaries
-        # at ~_CHUNK_CELLS edge-trial cells; rows that found their slot are
+        # act[r], or -1, and value[r] its polynomial value.  The trial axis
+        # is chunked: one trial first (almost every row adopts there), then
+        # twice the previous width, capped by the batch end and by
+        # ~_CHUNK_CELLS edge-trial cells; rows that found their slot are
         # dropped from later chunks (their first slot is already decided).
-        # All four per-batch arrays live in the workspace arena.
+        # All five per-batch arrays live in the workspace arena.
         dst_active = ws.gather("dst_active", active, e_dst)
         dst_colors = ws.gather("dst_colors", colors, e_dst)
         first = ws.full("first", num_active, -1)
+        value = ws.take("value", num_active)
         undone = ws.full("undone", num_active, True, dtype=bool)
         r_sub, d_sub, a_sub, c_sub = rows, e_dst, dst_active, dst_colors
-        cstart = lo
+        cstart, w = lo, 1
         while cstart < hi:
-            w = max(1, min(hi - cstart, _CHUNK_CELLS // max(1, r_sub.size)))
+            w = max(1, min(w, hi - cstart, _CHUNK_CELLS // max(1, r_sub.size)))
             xs = np.arange(cstart, cstart + w, dtype=np.int64)
             # Lazily evaluate exactly the vertices this chunk touches — the
-            # remaining rows' sources and their *active* neighbors (colored
-            # neighbors are compared by final color, no values needed) — at
-            # exactly the chunk's trial positions.
-            # Dedupe them without a sort: every entry scatters its slot into
-            # row_of, and the entries that read their own slot back are one
-            # per distinct vertex.  The temporaries are freed before the
+            # undone rows' own vertices (rows without entries included: they
+            # adopt from this table too) and the remaining entries' *active*
+            # neighbors (colored neighbors are compared by final color, no
+            # values needed) — at exactly the chunk's trial positions.
+            # Dedupe them without a sort: every vertex scatters its slot into
+            # row_of, and the slots that read themselves back are one per
+            # distinct vertex.  The temporaries are freed before the
             # conflict table is built, so they do not raise the peak memory.
-            src_verts = act[r_sub]
-            touched = np.concatenate([src_verts, d_sub[a_sub]])
+            touched = np.concatenate([act[undone], d_sub[a_sub]])
             slots = np.arange(touched.size)
             row_of[touched] = slots
             need = touched[row_of[touched] == slots]
             del touched, slots
             row_of[need] = np.arange(need.size)
             table = eval_grid(need, xs)
-            src_vals = table[row_of[src_verts]]
+            src_vals = table[row_of[act[r_sub]]]
             nbr_pos = row_of[d_sub]
             if need.size:
                 np.clip(nbr_pos, 0, need.size - 1, out=nbr_pos)
@@ -236,12 +235,15 @@ def run_mother_algorithm_vectorized(
             ).reshape(num_active, w)
             ok = counts <= dd
             ok[~undone] = False
-            found = ok.any(axis=1)
-            first[found] = cstart + np.argmax(ok[found], axis=1)
-            undone &= ~found
+            found = np.nonzero(ok.any(axis=1))[0]
+            col = np.argmax(ok[found], axis=1)
+            first[found] = cstart + col
+            value[found] = table[row_of[act[found]], col]
+            undone[found] = False
             cstart += w
             if cstart >= hi or not undone.any():
                 break
+            w *= 2
             keep = undone[r_sub]
             r_sub, d_sub = r_sub[keep], d_sub[keep]
             a_sub, c_sub = a_sub[keep], c_sub[keep]
@@ -249,8 +251,7 @@ def run_mother_algorithm_vectorized(
         adopters = first >= 0
         if np.any(adopters):
             verts = act[adopters]
-            xs = first[adopters]
-            colors[verts] = (xs % k_eff) * q + eval_at(verts, xs)
+            colors[verts] = (first[adopters] % k_eff) * q + value[adopters]
             parts[verts] = batch + 1
             active[verts] = False
             refresh = True

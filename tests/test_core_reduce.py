@@ -226,5 +226,5 @@ class TestKuhnWattenhoferOracle:
         assert 0 < same_block.num_edges < graph.num_edges
         want = run_removal(same_block, colors % block, target, "array", removal_loop_array)
         got = run_removal(same_block, colors % block, target, "jit", removal_loop_jit, kernels)
-        assert want.rounds > 0
+        assert want.rounds > 1  # several classes, in one kernel call
         assert np.array_equal(got.colors, want.colors) and got.rounds == want.rounds

@@ -435,32 +435,44 @@ class TestCoefficientTable:
         with pytest.raises((TypeError, ValueError)):
             kernels.coefficients(colors[::2], 7, table[:3])
 
-    def test_c_remove_class_checks_its_arrays(self):
+    def test_c_remove_classes_checks_its_arrays(self):
         from repro.core.kernels_cc import cc_provider
 
         kernels = cc_provider()
         if kernels is None:
             pytest.skip("no C compiler on this machine")
         graph = generators.ring(6)
-        verts = np.array([0, 2, 4], dtype=np.int64)
-        used = np.empty(verts.size * 3, dtype=np.uint8)
+        # Target 3 on the ring: the classes of colors 5, 4 and 3, in turn.
+        order = np.array([0, 2, 4], dtype=np.int64)
+        starts = np.array([0, 1, 2, 3], dtype=np.int64)
+        used = np.empty(3, dtype=np.uint8)
 
-        def remove(verts=verts, indptr=graph.indptr, colors=None, used=used):
+        def remove(order=order, starts=starts, indptr=graph.indptr, colors=None, used=used):
             colors = np.array([5, 1, 4, 0, 3, 2]) if colors is None else colors
-            kernels.remove_class(verts, indptr, graph.indices, colors, 3, used)
+            kernels.remove_classes(order, starts, indptr, graph.indices, colors, 3, used)
             return colors
 
         assert remove().tolist() == [0, 1, 2, 0, 1, 2]  # well-formed: accepted
+        assert remove(starts=np.array([0, 3]), used=np.empty(9, dtype=np.uint8)).tolist() \
+            == [0, 1, 2, 0, 1, 2]  # one class of three
+        assert remove(order=order[:0], starts=starts[:1]).tolist() == [5, 1, 4, 0, 3, 2]
         with pytest.raises(TypeError):
             remove(colors=np.array([5, 1, 4, 0, 3, 2], dtype=np.int32))
         with pytest.raises(TypeError):
-            remove(verts=np.arange(6, dtype=np.int64)[::2])
+            remove(order=np.arange(6, dtype=np.int64)[::2])
+        with pytest.raises(TypeError):
+            remove(starts=starts.astype(np.int32))
         with pytest.raises(TypeError):
             remove(used=used.astype(bool))
         with pytest.raises(ValueError):
             remove(used=used[:-1])
+        with pytest.raises(ValueError):  # the largest class needs 3 * target
+            remove(starts=np.array([0, 3]))
         with pytest.raises(ValueError):
             remove(indptr=graph.indptr[:-1].copy())
+        for bad in ([0, 1, 2], [1, 1, 2, 3], [0, 2, 1, 3], []):
+            with pytest.raises(ValueError):
+                remove(starts=np.array(bad, dtype=np.int64))
 
 
 # --------------------------------------------------------------------------- #

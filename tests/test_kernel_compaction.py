@@ -11,6 +11,8 @@ isolated vertices, ``Delta = 1``, and single-batch (everyone adopts in round
 1) runs.
 """
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -19,9 +21,9 @@ from helpers import make_input_coloring
 from repro.congest import generators
 from repro.congest.graph import Graph
 from repro.congest.ids import InputColoringError
-from repro.core import pipelines
+from repro.core import pipelines, vectorized
 from repro.core.algorithm1 import derive_orientation, run_mother_algorithm
-from repro.core.corollaries import kdelta_coloring, linial_color_reduction
+from repro.core.corollaries import _single_batch_params, kdelta_coloring, linial_color_reduction
 from repro.core.linial import iterated_color_reduction
 from repro.core.params import MotherParameters
 from repro.core.reduce import kuhn_wattenhofer_reduction, remove_color_class_reduction
@@ -44,9 +46,10 @@ def edge_case_graphs() -> list[tuple[str, Graph]]:
     ]
 
 
-def assert_mother_parity(graph: Graph, colors: np.ndarray, m: int, d: int = 0, k: int = 1):
-    ref = run_mother_algorithm(graph, colors, m, d=d, k=k)
-    vec = run_mother_algorithm_vectorized(graph, colors, m, d=d, k=k)
+def assert_mother_parity(graph: Graph, colors: np.ndarray, m: int, d: int = 0, k: int = 1,
+                         params: MotherParameters | None = None):
+    ref = run_mother_algorithm(graph, colors, m, d=d, k=k, params=params)
+    vec = run_mother_algorithm_vectorized(graph, colors, m, d=d, k=k, params=params)
     assert np.array_equal(ref.colors, vec.colors)
     assert np.array_equal(ref.parts, vec.parts)
     assert ref.rounds == vec.rounds
@@ -154,6 +157,65 @@ class TestMotherKernelEdgeCases:
         graph = generators.gnp(n, p, seed=seed)
         colors, m = make_input_coloring(graph, seed=seed)
         assert_mother_parity(graph, colors, m, k=k)
+
+
+class TestChunkSchedule:
+    """Each batch's trial axis is cut into chunks of 1, 2, 4, ... trials
+    under the batch end and the ``_CHUNK_CELLS`` budget; a row adopts its
+    *first* qualifying trial, and the value it adopts comes from the chunk's
+    table, however the axis is cut."""
+
+    @pytest.mark.parametrize("cells", [1, 7, vectorized._CHUNK_CELLS])
+    @settings(max_examples=15, deadline=None)
+    @given(
+        n=st.integers(min_value=2, max_value=30),
+        p=st.floats(min_value=0.0, max_value=0.4),
+        isolated=st.integers(min_value=1, max_value=3),
+        d=st.sampled_from([0, 1, 2]),
+        k=st.sampled_from([1, 3, "q"]),
+        seed=st.integers(min_value=0, max_value=1000),
+    )
+    def test_matches_reference_under_any_budget(self, cells, n, p, isolated, d, k, seed):
+        # gnp beside a 4-clique (so Delta >= 3 allows every d) and isolated vertices.
+        clique = [(n + i, n + j) for i in range(4) for j in range(i + 1, 4)]
+        edges = np.concatenate([generators.gnp(n, p, seed=seed).edge_array().reshape(-1, 2),
+                                np.array(clique, dtype=np.int64)])
+        graph = Graph.from_edge_array(n + 4 + isolated, edges)
+        colors, m = make_input_coloring(graph, seed=seed)
+        delta = max(1, graph.max_degree)
+        if k == "q":
+            params = _single_batch_params(m, delta, d)
+        else:
+            params = MotherParameters.derive(m=m, delta=delta, d=d, k=k)
+        with mock.patch.object(vectorized, "_CHUNK_CELLS", cells):
+            assert_mother_parity(graph, colors, m, d=d, k=params.k, params=params)
+
+    def test_deep_first_trial_walks_the_doubling_chunks(self):
+        # Leaf i + 1 carries the centre's polynomial plus (x - i), so it
+        # blocks exactly the centre's trial i: the centre's first free trial
+        # is Delta = 40, which only the chunk of 32 trials (31..62) reaches.
+        delta = 40
+        params = _single_batch_params(10 ** 9, delta, 0)
+        q = params.q
+        assert q == 487
+        graph = Graph(delta + 1, [(0, leaf) for leaf in range(1, delta + 1)])
+        centre = 100 + 5 * q - q  # digits (100, 5, 0, ...) of centre + q
+        colors = np.array([centre] + [centre + q - i for i in range(delta)], dtype=np.int64)
+        coeffs = sequence_coefficients(colors, params)
+        assert np.array_equal(coeffs[1:, 0], (coeffs[0, 0] - np.arange(delta)) % q)
+        assert np.array_equal(coeffs[1:, 1], np.full(delta, coeffs[0, 1] + 1))
+        assert np.array_equal(coeffs[1:, 2:], np.broadcast_to(coeffs[0, 2:], (delta, params.f - 1)))
+        vec = assert_mother_parity(graph, colors, 10 ** 9, k=q, params=params)
+        assert vec.colors[0] // q == delta
+
+    def test_single_batch_with_isolated_vertices(self):
+        # Rows without CSR entries adopt from the chunk table too, so their
+        # own vertices must be evaluated even though no entry names them.
+        graph = Graph(12, [(0, 1), (1, 2), (2, 0), (3, 4), (5, 6)])  # 7..11 isolated
+        colors, m = make_input_coloring(graph, seed=3)
+        params = _single_batch_params(m, graph.max_degree, 0)
+        assert params.num_batches == 1
+        assert_mother_parity(graph, colors, m, k=params.k, params=params)
 
 
 class TestRemoveColorClassEdgeCases:
