@@ -13,11 +13,19 @@ a process forked after the library loaded runs them single-threaded, see
 The C code is a line-for-line translation of the pure-Python kernels in
 :mod:`repro.core.kernels_jit` (the single source of semantics, parity-tested
 against the array backend), operating on the same int64 CSR arrays, the
-int32 coefficient table and caller-provided
-:class:`~repro.core.workspace.Workspace` scratch.  All arithmetic is
+int32 coefficient table and caller-provided scratch.  All arithmetic is
 non-negative int64 modular arithmetic, so the results are bit-identical to
 both the NumPy and the numba tiers.  The loops index without bounds checks,
 so the ctypes wrappers check dtypes, contiguity and sizes first (O(1)).
+
+The threads never race, by the same argument as the Python kernels': no
+iteration reads a cell another iteration writes.  ``repro_mother_first``
+runs its two loops in one parallel region.  The first writes ``vals[v]``
+for each active ``v``; the implicit barrier of its ``omp for`` ends every
+write before the second loop reads ``vals``.  There, iteration ``r`` writes
+only ``colors[v]`` and ``parts[v]`` of its own active ``v = act[r]`` and
+reads ``colors[u]`` only for an inactive ``u``.  ``active`` is read-only, so
+no iteration reads the color another one adopts.
 
 Build artifacts are content-addressed: the library lands in
 ``$REPRO_JIT_CACHE`` (default ``~/.cache/repro/jit``) under a hash of the
@@ -84,44 +92,56 @@ void repro_coefficients(int64_t n, const int64_t *colors, int64_t q,
     }
 }
 
+/* One batch: vals[v] = p_v(lo) for every active v (the constant digit at
+   lo == 0), then each v adopts its first good trial in place.  The barrier
+   between the two loops orders the writes of vals before its reads. */
 void repro_mother_first(int64_t nact, const int64_t *act,
                         const int64_t *indptr, const int64_t *indices,
                         const int32_t *coeffs, int64_t f1,
                         int64_t q, int64_t keff, int64_t d,
-                        const uint8_t *active, const int64_t *colors,
-                        int64_t lo, int64_t hi,
-                        int64_t *first, int64_t *firstval)
+                        const uint8_t *active, int64_t *colors, int64_t *parts,
+                        int64_t lo, int64_t hi, int32_t *vals)
 {
+    int64_t part = lo / keff + 1;
 #ifdef _OPENMP
-#pragma omp parallel for schedule(static)
+#pragma omp parallel
 #endif
-    for (int64_t r = 0; r < nact; r++) {
-        int64_t v = act[r];
-        const int32_t *cv = coeffs + v * f1;
-        int64_t slot = -1, slotval = 0;
-        for (int64_t x = lo; x < hi; x++) {
-            int64_t val = horner(cv, f1, x, q);
-            int64_t trial = (x % keff) * q + val;
-            int64_t conflicts = 0;
-            for (int64_t p = indptr[v]; p < indptr[v + 1]; p++) {
-                int64_t u = indices[p];
-                if (active[u]) {
-                    if (horner(coeffs + u * f1, f1, x, q) == val)
+    {
+#ifdef _OPENMP
+#pragma omp for schedule(static)
+#endif
+        for (int64_t r = 0; r < nact; r++) {
+            int64_t v = act[r];
+            vals[v] = lo == 0 ? coeffs[v * f1] : (int32_t)horner(coeffs + v * f1, f1, lo, q);
+        }
+#ifdef _OPENMP
+#pragma omp for schedule(static)
+#endif
+        for (int64_t r = 0; r < nact; r++) {
+            int64_t v = act[r];
+            const int32_t *cv = coeffs + v * f1;
+            for (int64_t x = lo; x < hi; x++) {
+                int64_t val = x == lo ? vals[v] : horner(cv, f1, x, q);
+                int64_t trial = (x % keff) * q + val;
+                int64_t conflicts = 0;
+                for (int64_t p = indptr[v]; p < indptr[v + 1]; p++) {
+                    int64_t u = indices[p];
+                    if (active[u]) {
+                        if ((x == lo ? vals[u] : horner(coeffs + u * f1, f1, x, q)) == val)
+                            conflicts++;
+                    } else if (colors[u] == trial) {
                         conflicts++;
-                } else if (colors[u] == trial) {
-                    conflicts++;
+                    }
+                    if (conflicts > d)
+                        break;
                 }
-                if (conflicts > d)
+                if (conflicts <= d) {
+                    colors[v] = trial;
+                    parts[v] = part;
                     break;
-            }
-            if (conflicts <= d) {
-                slot = x;
-                slotval = val;
-                break;
+                }
             }
         }
-        first[r] = slot;
-        firstval[r] = slotval;
     }
 }
 
@@ -304,10 +324,12 @@ class _CcKernels:
     """ctypes wrappers presenting the library under the provider interface.
 
     The contract mirrors the pure-Python kernels: int64 C-contiguous CSR and
-    index arrays, an int32 coefficient table, ``active`` as a 1-byte bool
-    array, ``used`` as uint8 scratch.  Callers (the jit drivers) construct
-    arrays with exactly these dtypes, so no conversion happens here; every
-    kernel that indexes caller arrays unchecked checks them first (O(1)).
+    index arrays, an int32 coefficient table and ``vals`` scratch, ``active``
+    as a 1-byte bool array, ``used`` as uint8 scratch.  The callers
+    (``run_mother_jit``, ``removal_loop_jit``, ``power_law_cluster``)
+    construct arrays with exactly these dtypes, so no conversion happens
+    here; every kernel that indexes caller arrays unchecked checks them
+    first (O(1)).
     """
 
     def __init__(self, lib: ctypes.CDLL):
@@ -320,8 +342,8 @@ class _CcKernels:
         lib.repro_mother_first.argtypes = [
             c_int64, POINTER(c_int64), POINTER(c_int64), POINTER(c_int64),
             POINTER(c_int32), c_int64, c_int64, c_int64, c_int64,
-            POINTER(c_uint8), POINTER(c_int64), c_int64, c_int64,
-            POINTER(c_int64), POINTER(c_int64),
+            POINTER(c_uint8), POINTER(c_int64), POINTER(c_int64), c_int64, c_int64,
+            POINTER(c_int32),
         ]
         lib.repro_remove_classes.restype = None
         lib.repro_remove_classes.argtypes = [
@@ -351,20 +373,21 @@ class _CcKernels:
         self._lib.repro_coefficients(colors.size, _p64(colors), q, out.shape[1], _p32(out))
 
     def mother_first(self, act, indptr, indices, coeffs, q, keff, d, active,
-                     colors, lo, hi, first, firstval) -> None:
-        _require("mother_first", np.int64, act, indptr, indices, colors, first, firstval)
+                     colors, parts, lo, hi, vals) -> None:
+        _require("mother_first", np.int64, act, indptr, indices, colors, parts)
         _require("mother_first", np.bool_, active)
+        _require("mother_first", np.int32, vals)
         n = colors.size
         _require_table("mother_first", coeffs, n)
-        if indptr.size != n + 1 or active.size != n:
-            raise ValueError("mother_first kernel: indptr, active and colors "
+        if indptr.size != n + 1 or active.size != n or parts.size != n:
+            raise ValueError("mother_first kernel: indptr, active, parts and colors "
                              "disagree on the vertex count")
-        if first.size < act.size or firstval.size < act.size:
-            raise ValueError("mother_first kernel: first or firstval shorter than act")
+        if vals.size < n:
+            raise ValueError("mother_first kernel: vals is shorter than colors")
         self._lib.repro_mother_first(
             act.size, _p64(act), _p64(indptr), _p64(indices),
             _p32(coeffs), coeffs.shape[1], q, keff, d,
-            _pu8(active), _p64(colors), lo, hi, _p64(first), _p64(firstval),
+            _pu8(active), _p64(colors), _p64(parts), lo, hi, _p32(vals),
         )
 
     def remove_classes(self, order, starts, indptr, indices, colors, target, used) -> None:

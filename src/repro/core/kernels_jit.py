@@ -8,14 +8,15 @@ range directly).  Unlike the NumPy twin (:mod:`repro.core.vectorized`,
 :mod:`repro.core.reduce`), which materialises ``(active_edges x trials)``
 intermediates and scatter-adds them with ``bincount``, a compiled kernel
 
-* Horner-evaluates the trial polynomial on the fly (exact modular integer
-  arithmetic — bit-identical to the lazily evaluated NumPy tables),
+* evaluates each active vertex's polynomial once per batch at the batch's
+  first trial (the constant digit when that trial is 0) and Horner-evaluates
+  later trials on the fly (exact modular integer arithmetic — bit-identical
+  to the lazily evaluated NumPy tables),
 * counts conflicts per vertex with an early exit as soon as the count
   exceeds ``d``, and stops scanning trials at the *first* ``d``-proper one
   (the same first-qualifying-trial tie-break the array kernel implements
-  with ``argmax``), and
-* never allocates: callers pass scratch from the existing
-  :class:`repro.core.workspace.Workspace` arena.
+  with ``argmax``), writing the adopted color and part in place, and
+* never allocates: callers pass every output and scratch array.
 
 The mother kernel reads its polynomials from a coefficient table that a
 third kernel, :func:`_kernel_coefficients`, fills: one row of ``f + 1``
@@ -41,13 +42,19 @@ numba is not installed, a hand-written C translation of the same loops
 and loaded via :mod:`ctypes`; when neither tier is available the ``jit``
 backend degrades to the array backend (see :mod:`repro.engine.jit`).
 
-Determinism under threads is by construction, not by locking: iteration
-``r`` of every parallel loop writes only slot ``r`` of its output (mother
-kernel) or ``colors[v]`` for ``v`` in one color class, an independent set
-(color-class removal) — no iteration reads a cell another iteration of the
-same call writes.  Outputs are therefore bit-identical for any
-thread count, which is what lets the parity property suite and the golden
-records extend to ``backend="jit"`` unchanged.
+Determinism under threads is by construction, not by locking: no
+iteration reads a cell another iteration of the same loop writes.  In the
+mother kernel, iteration ``r`` writes only the entries of its own active
+vertex ``v = act[r]``: ``vals[v]`` in the first loop, ``colors[v]`` and
+``parts[v]`` when ``v`` adopts in the second.  The second loop reads
+``vals[u]`` only once the first loop has finished, and ``colors[u]`` only
+for an inactive ``u``; the kernel never writes ``active``, so ``v`` stays
+active for the whole call and no other iteration reads ``colors[v]``.  In
+color-class removal, iteration ``r`` writes ``colors[v]`` for ``v`` in one
+color class, an independent set, so no vertex of the class reads another's
+color.  Outputs are therefore bit-identical for any thread count, which is
+what lets the parity property suite and the golden records extend to
+``backend="jit"`` unchanged.
 
 ``REPRO_NUM_THREADS`` caps the kernel thread count (numba
 ``set_num_threads`` / OpenMP ``omp_set_num_threads``);
@@ -62,8 +69,6 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Callable
 
 import numpy as np
-
-from repro.core.workspace import Workspace
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.congest.graph import Graph
@@ -97,38 +102,62 @@ __all__ = [
 
 
 def _kernel_mother_first(act, indptr, indices, coeffs, q, keff, d, active,
-                         colors, lo, hi, first, firstval):
-    """One mother-algorithm batch: find each active vertex's first good trial.
+                         colors, parts, lo, hi, vals):
+    """One mother-algorithm batch: each active vertex adopts its first good
+    trial.
 
-    For vertex ``v = act[r]`` scan trial positions ``x in [lo, hi)`` in order;
-    a trial conflicts with an active neighbor trying the same polynomial value
-    or with a colored neighbor whose final color equals the trial color
-    ``(x % keff) * q + p_v(x)``.  The first ``x`` with at most ``d`` conflicts
-    is written to ``first[r]`` (with ``p_v(x)`` in ``firstval[r]``), or ``-1``.
+    The first loop evaluates every active vertex's polynomial once, at the
+    batch's first position: ``vals[v] = p_v(lo)``, which at ``lo == 0`` is
+    the constant digit ``coeffs[v, 0]``.  The second scans trial positions
+    ``x in [lo, hi)`` for ``v = act[r]`` in order; a trial conflicts with an
+    active neighbor trying the same polynomial value (read from ``vals`` at
+    ``x == lo``, Horner-evaluated after) or with a colored neighbor whose
+    final color equals the trial color ``(x % keff) * q + p_v(x)``.  At the
+    first ``x`` with at most ``d`` conflicts, ``v`` writes that color to
+    ``colors[v]`` and its batch ``lo // keff + 1`` to ``parts[v]``; a vertex
+    with no such trial keeps ``colors[v] == -1``.
 
-    ``coeffs`` is the int32 table :func:`_kernel_coefficients` fills;
-    Horner's rule accumulates in int64 under numba and in Python ints in the
-    python tier (``int()`` keeps numpy's int32 scalar arithmetic out).
-    Reads only ``active``/``colors``; writes only slot ``r`` — safe and
+    ``coeffs`` is the int32 table :func:`_kernel_coefficients` fills, and
+    ``vals`` is int32 scratch of ``n`` entries (every value is below ``q``);
+    it needs no fill, since only active vertices' entries are read and every
+    active vertex is in ``act``.  Horner's rule accumulates in int64 under
+    numba and in Python ints in the python tier (``int()`` keeps numpy's
+    int32 scalar arithmetic out).  An iteration writes only its own vertex's
+    ``vals``/``colors``/``parts`` entries and reads ``colors[u]`` only for
+    inactive ``u``, so no iteration reads what another writes: safe and
     deterministic under any parallel schedule.
     """
     f1 = coeffs.shape[1]
+    part = lo // keff + 1
     for r in prange(act.shape[0]):
         v = act[r]
-        slot = -1
-        slotval = 0
-        for x in range(lo, hi):
+        if lo == 0:
+            vals[v] = coeffs[v, 0]
+        else:
             val = 0
             for j in range(f1 - 1, -1, -1):
-                val = (val * x + int(coeffs[v, j])) % q
+                val = (val * lo + int(coeffs[v, j])) % q
+            vals[v] = val
+    for r in prange(act.shape[0]):
+        v = act[r]
+        for x in range(lo, hi):
+            if x == lo:
+                val = int(vals[v])
+            else:
+                val = 0
+                for j in range(f1 - 1, -1, -1):
+                    val = (val * x + int(coeffs[v, j])) % q
             trial = (x % keff) * q + val
             conflicts = 0
             for p in range(indptr[v], indptr[v + 1]):
                 u = indices[p]
                 if active[u]:
-                    nval = 0
-                    for j in range(f1 - 1, -1, -1):
-                        nval = (nval * x + int(coeffs[u, j])) % q
+                    if x == lo:
+                        nval = int(vals[u])
+                    else:
+                        nval = 0
+                        for j in range(f1 - 1, -1, -1):
+                            nval = (nval * x + int(coeffs[u, j])) % q
                     if nval == val:
                         conflicts += 1
                 elif colors[u] == trial:
@@ -136,11 +165,9 @@ def _kernel_mother_first(act, indptr, indices, coeffs, q, keff, d, active,
                 if conflicts > d:
                     break
             if conflicts <= d:
-                slot = x
-                slotval = val
+                colors[v] = trial
+                parts[v] = part
                 break
-        first[r] = slot
-        firstval[r] = slotval
 
 
 def _kernel_coefficients(colors, q, out):
@@ -362,7 +389,6 @@ def run_mother_jit(
     k: int = 1,
     params: "MotherParameters | None" = None,
     validate_input: bool = True,
-    workspace: Workspace | None = None,
     *,
     kernels: KernelProvider,
 ) -> "ColoringResult":
@@ -370,11 +396,13 @@ def run_mother_jit(
     outputs as :func:`repro.core.vectorized.run_mother_algorithm_vectorized`.
 
     The Python driver keeps the exact batch structure of the array twin —
-    refresh the active-vertex frontier only after adoptions, adopt the first
-    qualifying trial — and delegates the per-batch scan to
+    the active-vertex frontier in ascending order, each vertex adopting its
+    first qualifying trial — and delegates each batch to
     ``kernels.mother_first``, which reads the int32 coefficient table
-    ``kernels.coefficients`` fills.  :class:`repro.engine.jit.JitEngine`
-    resolves ``kernels`` and runs the array twin when no tier resolves.
+    ``kernels.coefficients`` fills and writes the adopted colors and parts
+    in place; the adopters then leave the frontier.
+    :class:`repro.engine.jit.JitEngine` resolves ``kernels`` and runs the
+    array twin when no tier resolves.
     """
     from repro.congest.ids import validate_proper_coloring
     from repro.core.params import MotherParameters, check_word_size
@@ -402,39 +430,28 @@ def run_mother_jit(
     q, k_eff, dd = params.q, params.k, params.d
     coeffs = np.empty((n, params.f + 1), dtype=np.int32)
     kernels.coefficients(input_colors, q, coeffs)
-    ws = workspace if workspace is not None else Workspace()
+    vals = np.empty(n, dtype=np.int32)
     indptr, indices = graph.indptr, graph.indices
 
     colors = -np.ones(n, dtype=np.int64)
     parts = np.zeros(n, dtype=np.int64)
     active = np.ones(n, dtype=bool)
+    act = np.arange(n, dtype=np.int64)
     rounds = 0
-    act = None
-    refresh = True
 
     for batch in range(params.num_batches):
-        if refresh:
-            act = np.nonzero(active)[0]
-            if act.size == 0:
-                break
-            refresh = False
         rounds = batch + 1
         lo = batch * k_eff
         hi = min(lo + k_eff, q)
-        first = ws.full("jit_first", act.size, -1)
-        firstval = ws.take("jit_firstval", act.size)
         kernels.mother_first(act, indptr, indices, coeffs, q, k_eff, dd,
-                             active, colors, lo, hi, first, firstval)
-        adopters = first >= 0
-        if np.any(adopters):
-            verts = act[adopters]
-            xs = first[adopters]
-            colors[verts] = (xs % k_eff) * q + firstval[adopters]
-            parts[verts] = batch + 1
-            active[verts] = False
-            refresh = True
+                             active, colors, parts, lo, hi, vals)
+        adopted = colors[act] >= 0
+        active[act[adopted]] = False
+        act = act[~adopted]
+        if act.size == 0:
+            break
 
-    if active.any():
+    if act.size:
         raise RuntimeError(
             "some nodes exhausted their color sequences — this contradicts Theorem 1.1 "
             "and indicates invalid parameters or a bug"

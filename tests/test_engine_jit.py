@@ -407,12 +407,13 @@ class TestCoefficientTable:
         kernels.coefficients(colors, 7, table)  # well-formed: accepted
         act = np.arange(6, dtype=np.int64)
         active = np.ones(6, dtype=bool)
-        first = np.empty(6, dtype=np.int64)
+        parts = np.zeros(6, dtype=np.int64)
+        vals = np.empty(6, dtype=np.int32)
 
-        def mother(coeffs=table, first=first, firstval=first.copy()):
+        def mother(coeffs=table, parts=parts, vals=vals):
             kernels.mother_first(act, graph.indptr, graph.indices, coeffs, 7, 7, 0,
-                                 active, -np.ones(6, dtype=np.int64), 0, 7,
-                                 first, firstval)
+                                 active, -np.ones(6, dtype=np.int64), parts, 0, 7,
+                                 vals)
 
         mother()
         bad_tables = [
@@ -427,9 +428,11 @@ class TestCoefficientTable:
             with pytest.raises((TypeError, ValueError)):
                 kernels.coefficients(colors, 7, bad)
         with pytest.raises((TypeError, ValueError)):
-            mother(first=first[:5])
+            mother(vals=vals.astype(np.int64))
         with pytest.raises((TypeError, ValueError)):
-            mother(firstval=first[:5].copy())
+            mother(vals=vals[:5])
+        with pytest.raises((TypeError, ValueError)):
+            mother(parts=parts[:5])
         with pytest.raises((TypeError, ValueError)):
             kernels.coefficients(colors.astype(np.int32), 7, table)
         with pytest.raises((TypeError, ValueError)):

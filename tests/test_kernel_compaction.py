@@ -8,7 +8,9 @@ cached edge-source array and :meth:`Graph.incident_csr_entries` in
 implementations — these tests pin that over random graph families and over
 the degenerate shapes the compaction logic has to get right: empty graphs,
 isolated vertices, ``Delta = 1``, and single-batch (everyone adopts in round
-1) runs.
+1) runs.  The mother-kernel checks also run the jit kernel, on its Python
+tier (the source the numba tier compiles) and on the compiled tier when one
+resolves.
 """
 
 from unittest import mock
@@ -24,6 +26,7 @@ from repro.congest.ids import InputColoringError
 from repro.core import pipelines, vectorized
 from repro.core.algorithm1 import derive_orientation, run_mother_algorithm
 from repro.core.corollaries import _single_batch_params, kdelta_coloring, linial_color_reduction
+from repro.core.kernels_jit import get_provider, python_provider, run_mother_jit
 from repro.core.linial import iterated_color_reduction
 from repro.core.params import MotherParameters
 from repro.core.reduce import kuhn_wattenhofer_reduction, remove_color_class_reduction
@@ -48,6 +51,8 @@ def edge_case_graphs() -> list[tuple[str, Graph]]:
 
 def assert_mother_parity(graph: Graph, colors: np.ndarray, m: int, d: int = 0, k: int = 1,
                          params: MotherParameters | None = None):
+    """Reference, array and the jit kernel tiers (the Python source of the
+    numba tier, and the compiled tier when one resolves) agree exactly."""
     ref = run_mother_algorithm(graph, colors, m, d=d, k=k, params=params)
     vec = run_mother_algorithm_vectorized(graph, colors, m, d=d, k=k, params=params)
     assert np.array_equal(ref.colors, vec.colors)
@@ -57,6 +62,11 @@ def assert_mother_parity(graph: Graph, colors: np.ndarray, m: int, d: int = 0, k
         derive_orientation(graph, ref.colors, ref.parts, colors),
         derive_orientation(graph, vec.colors, vec.parts, colors),
     )
+    for kernels in filter(None, [python_provider(), get_provider()]):
+        jit = run_mother_jit(graph, colors, m, d=d, k=k, params=params, kernels=kernels)
+        assert np.array_equal(ref.colors, jit.colors), kernels.kind
+        assert np.array_equal(ref.parts, jit.parts), kernels.kind
+        assert ref.rounds == jit.rounds, kernels.kind
     return vec
 
 
@@ -132,6 +142,21 @@ class TestMotherKernelEdgeCases:
         graph = Graph(8, [(0, i) for i in range(1, 6)])
         colors = np.arange(8, dtype=np.int64)
         assert_mother_parity(graph, colors, 8, d=2, k=1)
+
+    def test_colored_neighbour_blocks_by_color_not_by_value(self):
+        # Leaves 1 and 2 block the centre's batch 0 (values 5 and 13 at
+        # trials 0 and 1); all four leaves adopt there.  In batch 1, leaf 3's
+        # color 23 blocks trial 2 (slot 0).  At trial 3 (slot 1) the centre's
+        # value is 35, leaf 4's color from slot 0, but its trial color is
+        # 83 + 35 = 118: a check by value instead of color would push the
+        # centre on to batch 2.
+        graph = Graph(5, [(0, i) for i in range(1, 5)])
+        params = MotherParameters.derive(m=10 ** 6, delta=4, d=0, k=2)
+        assert (params.q, params.f) == (83, 10)
+        colors = np.array([7392, 7475, 7474, 106, 201], dtype=np.int64)
+        res = assert_mother_parity(graph, colors, 10 ** 6, k=2, params=params)
+        assert res.colors.tolist() == [118, 97, 4, 23, 35]
+        assert (res.parts[0], res.rounds) == (2, 2)
 
     def test_single_batch_adoption(self):
         # Single-batch (Linial-style) run: every node must adopt in round 1 on
