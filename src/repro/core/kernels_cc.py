@@ -2,7 +2,7 @@
 system compiler, loaded via :mod:`ctypes`.
 
 When numba is not installed (the preferred tier, see
-:mod:`repro.core.kernels_jit`) but a C compiler is on PATH, the four
+:mod:`repro.core.kernels_jit`) but a C compiler is on PATH, the three
 kernels are compiled *once* from the embedded source below into a small
 shared library and called through :mod:`ctypes` — ctypes foreign calls drop
 the GIL, and the engine kernels multi-thread their per-vertex loops with OpenMP
@@ -13,7 +13,8 @@ a process forked after the library loaded runs them single-threaded, see
 The C code is a line-for-line translation of the pure-Python kernels in
 :mod:`repro.core.kernels_jit` (the single source of semantics, parity-tested
 against the array backend), operating on the same int64 CSR arrays, the
-int32 coefficient table and caller-provided scratch.  All arithmetic is
+int64 input colors (whose base-``q`` digits are the polynomial
+coefficients, see ``poly_at``) and caller-provided scratch.  All arithmetic is
 non-negative int64 modular arithmetic, so the results are bit-identical to
 both the NumPy and the numba tiers.  The loops index without bounds checks,
 so the ctypes wrappers check dtypes, contiguity and sizes first (O(1)).
@@ -64,32 +65,20 @@ _SOURCE = r"""
 #define REPRO_O1
 #endif
 
-/* Horner evaluation of the degree-(f1-1) trial polynomial at x, mod q.
-   The digits are int32 (q < 2^31); the arithmetic is non-negative int64,
-   matching the NumPy and numba tiers exactly. */
-static inline int64_t horner(const int32_t *c, int64_t f1, int64_t x, int64_t q)
+/* p_c(x) mod q: the base-q digits of c + q, lowest first, are the
+   polynomial's coefficients.  It stops once the quotient is 0 (every higher
+   digit is 0) and takes at most f1 digits.  Digits and powers are below
+   q < 2^31, so every product fits in int64, matching the NumPy and numba
+   tiers exactly. */
+static inline int64_t poly_at(int64_t c, int64_t f1, int64_t x, int64_t q)
 {
-    int64_t acc = 0;
-    for (int64_t j = f1 - 1; j >= 0; j--)
-        acc = (acc * x + c[j]) % q;
-    return acc;
-}
-
-/* Row v of the coefficient table: the f1 base-q digits of colors[v] + q. */
-void repro_coefficients(int64_t n, const int64_t *colors, int64_t q,
-                        int64_t f1, int32_t *out)
-{
-#ifdef _OPENMP
-#pragma omp parallel for schedule(static)
-#endif
-    for (int64_t v = 0; v < n; v++) {
-        int64_t rest = colors[v] + q;
-        int32_t *row = out + v * f1;
-        for (int64_t j = 0; j < f1; j++) {
-            row[j] = (int32_t)(rest % q);
-            rest /= q;
-        }
+    int64_t rest = c + q, acc = 0, power = 1;
+    for (int64_t j = 0; j < f1 && rest != 0; j++) {
+        acc = (acc + rest % q * power) % q;
+        power = power * x % q;
+        rest /= q;
     }
+    return acc;
 }
 
 /* One batch: vals[v] = p_v(lo) for every active v (the constant digit at
@@ -97,7 +86,7 @@ void repro_coefficients(int64_t n, const int64_t *colors, int64_t q,
    between the two loops orders the writes of vals before its reads. */
 void repro_mother_first(int64_t nact, const int64_t *act,
                         const int64_t *indptr, const int64_t *indices,
-                        const int32_t *coeffs, int64_t f1,
+                        const int64_t *colors_in, int64_t f1,
                         int64_t q, int64_t keff, int64_t d,
                         const uint8_t *active, int64_t *colors, int64_t *parts,
                         int64_t lo, int64_t hi, int32_t *vals)
@@ -112,22 +101,21 @@ void repro_mother_first(int64_t nact, const int64_t *act,
 #endif
         for (int64_t r = 0; r < nact; r++) {
             int64_t v = act[r];
-            vals[v] = lo == 0 ? coeffs[v * f1] : (int32_t)horner(coeffs + v * f1, f1, lo, q);
+            vals[v] = (int32_t)(lo == 0 ? colors_in[v] % q : poly_at(colors_in[v], f1, lo, q));
         }
 #ifdef _OPENMP
 #pragma omp for schedule(static)
 #endif
         for (int64_t r = 0; r < nact; r++) {
             int64_t v = act[r];
-            const int32_t *cv = coeffs + v * f1;
             for (int64_t x = lo; x < hi; x++) {
-                int64_t val = x == lo ? vals[v] : horner(cv, f1, x, q);
+                int64_t val = x == lo ? vals[v] : poly_at(colors_in[v], f1, x, q);
                 int64_t trial = (x % keff) * q + val;
                 int64_t conflicts = 0;
                 for (int64_t p = indptr[v]; p < indptr[v + 1]; p++) {
                     int64_t u = indices[p];
                     if (active[u]) {
-                        if ((x == lo ? vals[u] : horner(coeffs + u * f1, f1, x, q)) == val)
+                        if ((x == lo ? vals[u] : poly_at(colors_in[u], f1, x, q)) == val)
                             conflicts++;
                     } else if (colors[u] == trial) {
                         conflicts++;
@@ -323,8 +311,8 @@ def _pu8(array: np.ndarray):
 class _CcKernels:
     """ctypes wrappers presenting the library under the provider interface.
 
-    The contract mirrors the pure-Python kernels: int64 C-contiguous CSR and
-    index arrays, an int32 coefficient table and ``vals`` scratch, ``active``
+    The contract mirrors the pure-Python kernels: int64 C-contiguous CSR,
+    index and input-color arrays, int32 ``vals`` scratch, ``active``
     as a 1-byte bool array, ``used`` as uint8 scratch.  The callers
     (``run_mother_jit``, ``removal_loop_jit``, ``power_law_cluster``)
     construct arrays with exactly these dtypes, so no conversion happens
@@ -334,14 +322,10 @@ class _CcKernels:
 
     def __init__(self, lib: ctypes.CDLL):
         self._lib = lib
-        lib.repro_coefficients.restype = None
-        lib.repro_coefficients.argtypes = [
-            c_int64, POINTER(c_int64), c_int64, c_int64, POINTER(c_int32),
-        ]
         lib.repro_mother_first.restype = None
         lib.repro_mother_first.argtypes = [
             c_int64, POINTER(c_int64), POINTER(c_int64), POINTER(c_int64),
-            POINTER(c_int32), c_int64, c_int64, c_int64, c_int64,
+            POINTER(c_int64), c_int64, c_int64, c_int64, c_int64,
             POINTER(c_uint8), POINTER(c_int64), POINTER(c_int64), c_int64, c_int64,
             POINTER(c_int32),
         ]
@@ -367,26 +351,21 @@ class _CcKernels:
     def threads(self) -> int:
         return int(self._lib.repro_get_threads())
 
-    def coefficients(self, colors, q, out) -> None:
-        _require("coefficients", np.int64, colors)
-        _require_table("coefficients", out, colors.size)
-        self._lib.repro_coefficients(colors.size, _p64(colors), q, out.shape[1], _p32(out))
-
-    def mother_first(self, act, indptr, indices, coeffs, q, keff, d, active,
+    def mother_first(self, act, indptr, indices, colors_in, f1, q, keff, d, active,
                      colors, parts, lo, hi, vals) -> None:
-        _require("mother_first", np.int64, act, indptr, indices, colors, parts)
+        _require("mother_first", np.int64, act, indptr, indices, colors_in, colors, parts)
         _require("mother_first", np.bool_, active)
         _require("mother_first", np.int32, vals)
         n = colors.size
-        _require_table("mother_first", coeffs, n)
-        if indptr.size != n + 1 or active.size != n or parts.size != n:
-            raise ValueError("mother_first kernel: indptr, active, parts and colors "
-                             "disagree on the vertex count")
+        if indptr.size != n + 1 or active.size != n or parts.size != n \
+                or colors_in.size != n:
+            raise ValueError("mother_first kernel: indptr, active, parts, input "
+                             "colors and colors disagree on the vertex count")
         if vals.size < n:
             raise ValueError("mother_first kernel: vals is shorter than colors")
         self._lib.repro_mother_first(
             act.size, _p64(act), _p64(indptr), _p64(indices),
-            _p32(coeffs), coeffs.shape[1], q, keff, d,
+            _p64(colors_in), f1, q, keff, d,
             _pu8(active), _p64(colors), _p64(parts), lo, hi, _p32(vals),
         )
 
@@ -426,15 +405,6 @@ def _require(kernel: str, dtype, *arrays: np.ndarray) -> None:
                             f"{np.dtype(dtype).name}, got {array.dtype}")
 
 
-def _require_table(kernel: str, table: np.ndarray, n: int) -> None:
-    """The coefficient table: C-contiguous int32, ``n`` rows of ``f + 1``
-    digits (the C loops take the width from ``table.shape[1]``)."""
-    _require(kernel, np.int32, table)
-    if table.ndim != 2 or table.shape[0] != n:
-        raise ValueError(f"{kernel} kernel: coefficient table has shape "
-                         f"{table.shape}, expected ({n}, f + 1)")
-
-
 def cc_provider(cache_dir: str | os.PathLike | None = None):
     """Build/load the C tier as a :class:`~repro.core.kernels_jit.KernelProvider`;
     ``None`` when no compiler is available or the build/load fails."""
@@ -455,7 +425,6 @@ def cc_provider(cache_dir: str | os.PathLike | None = None):
         version=str(info.get("compiler", "cc")),
         threads=threads,
         mother_first=kernels.mother_first,
-        coefficients=kernels.coefficients,
         remove_classes=kernels.remove_classes,
         attach=kernels.attach,
         detail={"library": str(sofile), **info},

@@ -9,23 +9,23 @@ range directly).  Unlike the NumPy twin (:mod:`repro.core.vectorized`,
 intermediates and scatter-adds them with ``bincount``, a compiled kernel
 
 * evaluates each active vertex's polynomial once per batch at the batch's
-  first trial (the constant digit when that trial is 0) and Horner-evaluates
-  later trials on the fly (exact modular integer arithmetic — bit-identical
-  to the lazily evaluated NumPy tables),
+  first trial (the constant digit when that trial is 0) and evaluates later
+  trials on the fly (exact modular integer arithmetic — bit-identical to the
+  lazily evaluated NumPy tables),
 * counts conflicts per vertex with an early exit as soon as the count
   exceeds ``d``, and stops scanning trials at the *first* ``d``-proper one
   (the same first-qualifying-trial tie-break the array kernel implements
   with ``argmax``), writing the adopted color and part in place, and
 * never allocates: callers pass every output and scratch array.
 
-The mother kernel reads its polynomials from a coefficient table that a
-third kernel, :func:`_kernel_coefficients`, fills: one row of ``f + 1``
-base-``q`` digits per vertex, stored as int32 (every digit is below ``q``,
-and :func:`repro.core.params.check_word_size` refuses ``q >= 2**31``), so
-the first Linial step on ``10**6`` vertices holds 84 MB instead of 168 MB.
-Horner's rule still runs in int64 on every tier.
+The mother kernel takes each polynomial from its vertex's input color: the
+base-``q`` digits of ``color + q`` are its coefficients, peeled off by
+division whenever the kernel evaluates it, so no ``(n, f + 1)`` table is
+built (Linial's first step on ``10**6`` vertices would hold 84 MB in int32).
+The per-vertex values are int32 (:func:`repro.core.params.check_word_size`
+refuses ``q >= 2**31``), and the sums run in int64 on every tier.
 
-A fourth kernel is not an engine primitive: :func:`_kernel_attach` is the
+A third kernel is not an engine primitive: :func:`_kernel_attach` is the
 sequential preferential-attachment pass behind
 :func:`repro.congest.generators.power_law_cluster`.  The generator takes it
 from the same provider ladder, with :func:`python_provider` as the floor
@@ -101,42 +101,54 @@ __all__ = [
 # --------------------------------------------------------------------------- #
 
 
-def _kernel_mother_first(act, indptr, indices, coeffs, q, keff, d, active,
+def _kernel_mother_first(act, indptr, indices, colors_in, f1, q, keff, d, active,
                          colors, parts, lo, hi, vals):
     """One mother-algorithm batch: each active vertex adopts its first good
     trial.
 
+    A vertex's polynomial needs nothing but its input color: the base-``q``
+    digits of ``colors_in[v] + q``, lowest first, are its ``f1 = f + 1``
+    coefficients (the offset skips the constant polynomials, see
+    :mod:`repro.core.sequences`).  An evaluation at ``x`` peels the digits
+    off and sums ``digit * x**j`` mod ``q``; it stops once the quotient is 0
+    (every higher digit is 0) and never takes more than ``f1`` digits, which
+    also ends it on a negative color, where floor division sticks at -1.
+
     The first loop evaluates every active vertex's polynomial once, at the
     batch's first position: ``vals[v] = p_v(lo)``, which at ``lo == 0`` is
-    the constant digit ``coeffs[v, 0]``.  The second scans trial positions
+    the constant digit ``colors_in[v] % q``.  The second scans trial positions
     ``x in [lo, hi)`` for ``v = act[r]`` in order; a trial conflicts with an
     active neighbor trying the same polynomial value (read from ``vals`` at
-    ``x == lo``, Horner-evaluated after) or with a colored neighbor whose
+    ``x == lo``, evaluated after) or with a colored neighbor whose
     final color equals the trial color ``(x % keff) * q + p_v(x)``.  At the
     first ``x`` with at most ``d`` conflicts, ``v`` writes that color to
     ``colors[v]`` and its batch ``lo // keff + 1`` to ``parts[v]``; a vertex
     with no such trial keeps ``colors[v] == -1``.
 
-    ``coeffs`` is the int32 table :func:`_kernel_coefficients` fills, and
     ``vals`` is int32 scratch of ``n`` entries (every value is below ``q``);
     it needs no fill, since only active vertices' entries are read and every
-    active vertex is in ``act``.  Horner's rule accumulates in int64 under
-    numba and in Python ints in the python tier (``int()`` keeps numpy's
-    int32 scalar arithmetic out).  An iteration writes only its own vertex's
+    active vertex is in ``act``.  The sums run in int64 under numba (a digit
+    times a power is below ``q**2 < 2**62``) and in Python ints in the
+    python tier (``int()`` keeps numpy's fixed-width scalar arithmetic
+    out).  The evaluation is written out at each of its three uses:
+    the numba tier compiles this function verbatim, and a helper would need
+    its own ``@njit``.  An iteration writes only its own vertex's
     ``vals``/``colors``/``parts`` entries and reads ``colors[u]`` only for
     inactive ``u``, so no iteration reads what another writes: safe and
     deterministic under any parallel schedule.
     """
-    f1 = coeffs.shape[1]
     part = lo // keff + 1
     for r in prange(act.shape[0]):
         v = act[r]
         if lo == 0:
-            vals[v] = coeffs[v, 0]
+            vals[v] = colors_in[v] % q
         else:
-            val = 0
-            for j in range(f1 - 1, -1, -1):
-                val = (val * lo + int(coeffs[v, j])) % q
+            rest, val, power, j = int(colors_in[v]) + q, 0, 1, 0
+            while rest != 0 and j < f1:
+                val = (val + rest % q * power) % q
+                power = power * lo % q
+                rest //= q
+                j += 1
             vals[v] = val
     for r in prange(act.shape[0]):
         v = act[r]
@@ -144,9 +156,12 @@ def _kernel_mother_first(act, indptr, indices, coeffs, q, keff, d, active,
             if x == lo:
                 val = int(vals[v])
             else:
-                val = 0
-                for j in range(f1 - 1, -1, -1):
-                    val = (val * x + int(coeffs[v, j])) % q
+                rest, val, power, j = int(colors_in[v]) + q, 0, 1, 0
+                while rest != 0 and j < f1:
+                    val = (val + rest % q * power) % q
+                    power = power * x % q
+                    rest //= q
+                    j += 1
             trial = (x % keff) * q + val
             conflicts = 0
             for p in range(indptr[v], indptr[v + 1]):
@@ -155,9 +170,12 @@ def _kernel_mother_first(act, indptr, indices, coeffs, q, keff, d, active,
                     if x == lo:
                         nval = int(vals[u])
                     else:
-                        nval = 0
-                        for j in range(f1 - 1, -1, -1):
-                            nval = (nval * x + int(coeffs[u, j])) % q
+                        rest, nval, power, j = int(colors_in[u]) + q, 0, 1, 0
+                        while rest != 0 and j < f1:
+                            nval = (nval + rest % q * power) % q
+                            power = power * x % q
+                            rest //= q
+                            j += 1
                     if nval == val:
                         conflicts += 1
                 elif colors[u] == trial:
@@ -168,24 +186,6 @@ def _kernel_mother_first(act, indptr, indices, coeffs, q, keff, d, active,
                 colors[v] = trial
                 parts[v] = part
                 break
-
-
-def _kernel_coefficients(colors, q, out):
-    """The mother kernel's coefficient table: ``out[v, j]`` is the ``j``-th
-    base-``q`` digit of ``colors[v] + q`` for ``j < out.shape[1] = f + 1``.
-
-    The offset skips the constant polynomials (see
-    :mod:`repro.core.sequences`); the table equals
-    :func:`repro.core.vectorized.sequence_coefficients` in any integer dtype
-    that holds ``q - 1``.  Writes only row ``v`` — safe under any parallel
-    schedule.
-    """
-    f1 = out.shape[1]
-    for v in prange(colors.shape[0]):
-        rest = colors[v] + q
-        for j in range(f1):
-            out[v, j] = rest % q
-            rest //= q
 
 
 def _kernel_remove_classes(order, starts, indptr, indices, colors, target, used):
@@ -266,13 +266,12 @@ def _kernel_attach(words, ends, fill, start, n, attach, mark):
 
 @dataclass
 class KernelProvider:
-    """A resolved compiled-kernel tier: the four kernels plus provenance."""
+    """A resolved compiled-kernel tier: the three kernels plus provenance."""
 
     kind: str  # "numba" | "cc" | "python"
     version: str
     threads: int
     mother_first: Callable[..., None]
-    coefficients: Callable[..., None]
     remove_classes: Callable[..., None]
     attach: Callable[..., int]
     detail: dict[str, Any] = field(default_factory=dict)
@@ -308,7 +307,6 @@ def _numba_provider() -> KernelProvider | None:
             version=str(numba.__version__),
             threads=int(numba.get_num_threads()),
             mother_first=njit(**flags)(_kernel_mother_first),
-            coefficients=njit(**flags)(_kernel_coefficients),
             remove_classes=njit(**flags)(_kernel_remove_classes),
             attach=njit(cache=True, nogil=True)(_kernel_attach),
         )
@@ -332,7 +330,6 @@ def python_provider() -> KernelProvider:
         version=platform.python_version(),
         threads=1,
         mother_first=_kernel_mother_first,
-        coefficients=_kernel_coefficients,
         remove_classes=_kernel_remove_classes,
         attach=_kernel_attach,
     )
@@ -398,9 +395,9 @@ def run_mother_jit(
     The Python driver keeps the exact batch structure of the array twin —
     the active-vertex frontier in ascending order, each vertex adopting its
     first qualifying trial — and delegates each batch to
-    ``kernels.mother_first``, which reads the int32 coefficient table
-    ``kernels.coefficients`` fills and writes the adopted colors and parts
-    in place; the adopters then leave the frontier.
+    ``kernels.mother_first``, which reads each polynomial's coefficients
+    from the digits of the vertex's input color and writes the adopted
+    colors and parts in place; the adopters then leave the frontier.
     :class:`repro.engine.jit.JitEngine` resolves ``kernels`` and runs the
     array twin when no tier resolves.
     """
@@ -428,8 +425,6 @@ def run_mother_jit(
         )
 
     q, k_eff, dd = params.q, params.k, params.d
-    coeffs = np.empty((n, params.f + 1), dtype=np.int32)
-    kernels.coefficients(input_colors, q, coeffs)
     vals = np.empty(n, dtype=np.int32)
     indptr, indices = graph.indptr, graph.indices
 
@@ -443,8 +438,8 @@ def run_mother_jit(
         rounds = batch + 1
         lo = batch * k_eff
         hi = min(lo + k_eff, q)
-        kernels.mother_first(act, indptr, indices, coeffs, q, k_eff, dd,
-                             active, colors, parts, lo, hi, vals)
+        kernels.mother_first(act, indptr, indices, input_colors, params.f + 1, q,
+                             k_eff, dd, active, colors, parts, lo, hi, vals)
         adopted = colors[act] >= 0
         active[act[adopted]] = False
         act = act[~adopted]

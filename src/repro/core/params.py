@@ -35,19 +35,19 @@ class ParameterError(ValueError):
 def check_word_size(params: "MotherParameters") -> None:
     """Raise :class:`ParameterError` unless ``params.q < 2**31``.
 
-    The array and jit backends need it: the jit coefficient table holds
-    base-``q`` digits as int32, and the array backend's int64 Horner step
-    ``acc * x + c`` multiplies two values below ``q``, which overflows
-    silently past ``q ~ 3.04e9``.  Their drivers call this before they
-    build a coefficient table, so a hand-built ``params=`` with a huge field
-    fails loudly.  :meth:`MotherParameters.derive` reaches ``q >= 2**31`` only when
+    The array and jit backends need it: the jit mother kernel keeps each
+    vertex's polynomial value as int32, and both backends multiply two
+    values below ``q`` in int64 (the array backend's Horner step
+    ``acc * x + c``, the jit kernel's ``digit * x**j``), which overflows
+    silently past ``q ~ 3.04e9``.  Their drivers call this before the first
+    batch, so a hand-built ``params=`` with a huge field fails loudly.  :meth:`MotherParameters.derive` reaches ``q >= 2**31`` only when
     ``f * Z`` is in the hundreds of millions; the reference backend uses
     Python ints and has no such limit.
     """
     if params.q >= 2 ** 31:
         raise ParameterError(
             f"field size q={params.q} needs q < 2**31 on the array and jit "
-            "backends (int32 coefficient digits, int64 Horner products); "
+            "backends (int32 polynomial values, int64 products); "
             "use the reference backend"
         )
 

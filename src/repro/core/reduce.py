@@ -118,16 +118,24 @@ def _classes_from_top(colors: np.ndarray, target: int) -> tuple[np.ndarray, np.n
     """The color classes at or above ``target``, highest color first.
 
     Returns ``(order, starts)``: class ``i`` is ``order[starts[i]:starts[i +
-    1]]``, in ascending vertex order, and ``starts[-1] == order.size``.  One
-    stable argsort buckets the vertices.  Every recolored vertex lands
-    *below* the target (a free color exists because degree ``<= Delta <
-    target``), so these initial buckets are exactly the per-round classes.
+    1]]``, in ascending vertex order, and ``starts[-1] == order.size``.  The
+    vertices are bucketed by the key ``top - color``, an LSD radix sort: one
+    stable uint16 argsort (which NumPy runs as a radix sort) per 16 bits of
+    the span ``top - target``, so one pass below ``2**16``.  Every recolored
+    vertex lands *below* the target (a free color exists because degree
+    ``<= Delta < target``), so these initial buckets are exactly the
+    per-round classes.
     """
     high = np.flatnonzero(colors >= target)
-    order = high[np.argsort(-colors[high], kind="stable")]
-    if order.size == 0:
-        return order, np.zeros(1, dtype=np.int64)
-    boundaries = np.flatnonzero(np.diff(colors[order])) + 1
+    if high.size == 0:
+        return high, np.zeros(1, dtype=np.int64)
+    top = int(colors[high].max())
+    key = top - colors[high]
+    order = high
+    for shift in range(0, (top - target).bit_length(), 16):
+        perm = np.argsort((key >> shift).astype(np.uint16), kind="stable")
+        order, key = order[perm], key[perm]
+    boundaries = np.flatnonzero(key[1:] != key[:-1]) + 1
     return order, np.concatenate(([0], boundaries, [order.size]))
 
 

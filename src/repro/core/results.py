@@ -7,7 +7,30 @@ from typing import Any
 
 import numpy as np
 
-__all__ = ["ColoringResult", "RulingSetResult"]
+__all__ = ["ColoringResult", "RulingSetResult", "count_distinct"]
+
+#: :func:`count_distinct` counts ``bincount`` bins when every value is below
+#: this multiple of the array's length: the count array then costs about as
+#: much as the values.
+BINCOUNT_SPAN = 4
+
+
+def count_distinct(values) -> int:
+    """Number of distinct values in an array, in linear time where it can.
+
+    Non-negative integers below ``BINCOUNT_SPAN * size`` are counted as the
+    non-zero bins of one ``np.bincount``; other numeric arrays (a negative
+    value, an id-sized color) take ``np.unique``, so a huge value never
+    sizes a count array.  Object arrays (tuple colors) count through a set.
+    """
+    arr = np.asarray(values).ravel()
+    if arr.size == 0:
+        return 0
+    if arr.dtype == object:
+        return len(set(arr.tolist()))
+    if arr.dtype.kind in "iu" and arr.min() >= 0 and arr.max() < BINCOUNT_SPAN * arr.size:
+        return int(np.count_nonzero(np.bincount(arr.astype(np.intp, copy=False))))
+    return int(np.unique(arr).size)
 
 
 @dataclass
@@ -52,11 +75,7 @@ class ColoringResult:
     @property
     def num_colors(self) -> int:
         """Number of distinct colors actually used."""
-        if self.colors.size == 0:
-            return 0
-        if self.colors.dtype == object:
-            return len(set(self.colors.tolist()))
-        return int(np.unique(self.colors).size)
+        return count_distinct(self.colors)
 
     @property
     def n(self) -> int:

@@ -67,8 +67,9 @@ def sequence_coefficients(input_colors: np.ndarray, params: MotherParameters) ->
 
     ``coeffs[v, j]`` is the ``j``-th base-``q`` digit of ``input color + q``;
     the offset skips the constant polynomials (see :mod:`repro.core.sequences`).
-    The array backend reads this table; the jit backend fills an int32 twin
-    with the ``coefficients`` kernel of :mod:`repro.core.kernels_jit`.
+    The array backend reads this table; the jit mother kernel of
+    :mod:`repro.core.kernels_jit` peels the same digits off each color
+    whenever it evaluates a polynomial, and builds no table.
     """
     colors = np.asarray(input_colors, dtype=np.int64)
     q = params.q

@@ -12,6 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.congest.graph import Graph
+from repro.core.results import count_distinct
 
 __all__ = [
     "VerificationError",
@@ -66,12 +67,7 @@ def assert_proper_coloring(graph: Graph, colors, max_colors: int | None = None) 
 
 def count_colors(graph: Graph, colors) -> int:
     """Number of distinct colors used."""
-    arr = _as_colors(graph, colors)
-    if arr.size == 0:
-        return 0
-    if arr.dtype == object:
-        return len(set(arr.tolist()))
-    return int(np.unique(arr).size)
+    return count_distinct(_as_colors(graph, colors))
 
 
 def color_classes(graph: Graph, colors) -> dict:

@@ -12,6 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.congest.graph import Graph
+from repro.core.results import count_distinct
 from repro.verify.coloring import VerificationError, _as_colors, _mono_entries
 
 __all__ = ["partition_classes", "assert_partition_degree_bound"]
@@ -52,7 +53,7 @@ def assert_partition_degree_bound(
             f"partition has shape {parts.shape}, expected ({graph.n},)"
         )
     if max_parts is not None and graph.n:
-        used = int(np.unique(parts).size)
+        used = count_distinct(parts)
         if used > max_parts:
             raise VerificationError(
                 f"partition uses {used} parts, allowed at most {max_parts}"

@@ -4,10 +4,11 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.congest import generators
 from repro.congest import graph as graph_module
-from repro.congest.graph import Graph, GraphError, GraphPerformanceWarning
+from repro.congest.graph import Graph, GraphError, GraphFormatError, GraphPerformanceWarning
 
 
 class TestConstruction:
@@ -99,6 +100,59 @@ class TestConstruction:
         original = generators.grid(3, 4)
         back = Graph.from_networkx(original.to_networkx())
         assert back == original
+
+
+#: Edge arrays with duplicates in both orientations and isolated vertices:
+#: ``(n, pairs)`` with every endpoint below ``n``.
+_edge_lists = st.integers(min_value=2, max_value=24).flatmap(lambda n: st.tuples(
+    st.integers(min_value=n, max_value=n + 3),  # the top vertices stay isolated
+    st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+             .filter(lambda e: e[0] != e[1]), max_size=60),
+))
+_edge_dtypes = st.sampled_from([np.int64, np.int32, np.uint16, np.float64])
+
+
+def _reference_neighbors(n, pairs):
+    neighbors = [set() for _ in range(n)]
+    for u, v in pairs:
+        neighbors[u].add(v)
+        neighbors[v].add(u)
+    return [sorted(s) for s in neighbors]
+
+
+class TestEdgeArrayReference:
+    """``Graph.from_edge_array`` against per-vertex neighbor sets."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(graph=_edge_lists, dtype=_edge_dtypes, data=st.data())
+    def test_matches_set_reference(self, graph, dtype, data):
+        n, pairs = graph
+        again = data.draw(st.lists(st.sampled_from(pairs), max_size=20)) if pairs else []
+        pairs = pairs + again + [(v, u) for u, v in again]
+        pairs = data.draw(st.permutations(pairs))
+        g = Graph.from_edge_array(n, np.array(pairs, dtype=dtype).reshape(-1, 2))
+        want = _reference_neighbors(n, pairs)
+        assert [g.neighbors(v).tolist() for v in range(n)] == want
+        assert g.degrees.tolist() == [len(nbrs) for nbrs in want]
+        assert g.num_edges == sum(map(len, want)) // 2
+        assert g.indptr.dtype == g.indices.dtype == g.degrees.dtype == np.int64
+
+    @settings(max_examples=60, deadline=None)
+    @given(graph=_edge_lists, dtype=_edge_dtypes, data=st.data())
+    def test_errors_name_the_first_bad_edge(self, graph, dtype, data):
+        n, pairs = graph
+        where = data.draw(st.integers(0, len(pairs)))
+        kind = data.draw(st.sampled_from(["loop", "range"]))
+        if kind == "loop":
+            w = data.draw(st.integers(0, n - 1))
+            bad, match = (w, w), f"self loop on vertex {w} .*edge {where} of"
+        else:
+            bad = data.draw(st.sampled_from([(n, 0), (1, n + 5), (0, 2 ** 15)]))
+            match = rf"edge \({bad[0]}, {bad[1]}\) out of range .*edge {where} of"
+        edges = np.array(pairs[:where] + [bad] + pairs[where:], dtype=dtype).reshape(-1, 2)
+        with pytest.raises(GraphFormatError, match=match) as info:
+            Graph.from_edge_array(n, edges)
+        assert info.value.index == where and info.value.edge == bad
 
 
 class TestAccessors:

@@ -16,6 +16,7 @@ from repro.congest.ids import random_proper_coloring
 from repro.core.corollaries import kdelta_coloring
 from repro.core.kernels_jit import get_provider, python_provider
 from repro.core.reduce import (
+    _classes_from_top,
     kuhn_wattenhofer_reduction,
     remove_color_class_reduction,
     removal_loop_array,
@@ -126,6 +127,50 @@ class TestRemoveColorClass:
         res = remove_color_class_reduction(g, colors)
         assert res.rounds == 0
         assert np.array_equal(res.colors, colors)
+
+
+def classes_oracle(colors: np.ndarray, target: int):
+    """The class buckets by one stable argsort of ``-color``."""
+    high = np.flatnonzero(colors >= target)
+    order = high[np.argsort(-colors[high], kind="stable")]
+    if order.size == 0:
+        return order, np.zeros(1, dtype=np.int64)
+    boundaries = np.flatnonzero(np.diff(colors[order])) + 1
+    return order, np.concatenate(([0], boundaries, [order.size])).astype(np.int64)
+
+
+class TestClassesFromTop:
+    """The radix buckets of the removal loops against a stable argsort."""
+
+    def assert_matches_oracle(self, colors, target):
+        order, starts = _classes_from_top(np.asarray(colors, dtype=np.int64), target)
+        want_order, want_starts = classes_oracle(np.asarray(colors, dtype=np.int64), target)
+        assert np.array_equal(order, want_order)
+        assert np.array_equal(starts, want_starts)
+        return starts
+
+    def test_empty_and_all_below(self):
+        assert self.assert_matches_oracle(np.empty(0, dtype=np.int64), 3).tolist() == [0]
+        assert self.assert_matches_oracle([0, 2, 1, 2], 3).tolist() == [0]
+        assert self.assert_matches_oracle([3, 0, 3], 3).tolist() == [0, 2]
+
+    @pytest.mark.parametrize("span", [2 ** 16 - 1, 2 ** 16, 2 ** 40 + 3])
+    def test_one_and_more_radix_passes(self, span):
+        # (top - target).bit_length(): 16 bits take one pass, 17 two.
+        rng = np.random.default_rng(span % 97)
+        target = 7
+        colors = target + rng.integers(0, span + 1, size=3000)
+        colors[:300] = rng.integers(0, target, size=300)  # below the target
+        colors[300:1300] = target + rng.integers(0, 40, size=1000) * (span // 40)  # big classes
+        colors[1300] = target + span
+        starts = self.assert_matches_oracle(rng.permutation(colors), target)
+        assert np.diff(starts).max() > 1
+
+    @settings(max_examples=50, deadline=None)
+    @given(colors=st.lists(st.integers(0, 2 ** 20), max_size=80),
+           target=st.integers(0, 2 ** 20))
+    def test_property(self, colors, target):
+        self.assert_matches_oracle(colors, target)
 
 
 class TestKuhnWattenhofer:

@@ -15,6 +15,7 @@ Three layers of coverage:
   process and bit-identical results.
 """
 
+import random
 import sys
 import warnings
 
@@ -24,6 +25,7 @@ from hypothesis import given, settings, strategies as st
 
 from helpers import make_input_coloring
 from repro.congest import generators
+from repro.congest.graph import Graph
 from repro.core import kernels_jit, pipelines
 from repro.core.kernels_jit import (
     get_provider,
@@ -334,7 +336,8 @@ class TestKernelTierParity:
 
 
 # --------------------------------------------------------------------------- #
-# The int32 coefficient table, its word-size guard and the C wrappers' checks
+# Coefficients from the input color's digits, the word-size guard and the C
+# wrappers' checks
 # --------------------------------------------------------------------------- #
 
 
@@ -345,39 +348,93 @@ def _compiled_provider():
     return provider
 
 
-def _table(kernels, colors, params):
-    out = np.full((colors.size, params.f + 1), -1, dtype=np.int32)
-    kernels.coefficients(colors, params.q, out)
-    return out
+def _five_case_coloring(graph, m, q, seed):
+    """A proper coloring in ``[m]`` with 0, 1, m // 2, m - 2 and m - 1 on five
+    vertices.  Where ``[m]`` spans several rows of ``q``, every other color
+    has one residue mod ``q``, which the five avoid: such neighbors share the
+    constant digit, tie at trial 0, and run on to ``x > lo`` (one batch) or
+    to ``lo > 0`` (``k = 1``).  Below that the colors are distinct."""
+    rng = np.random.default_rng(seed)
+    special = np.array([0, 1, m // 2, m - 2, m - 1], dtype=np.int64)
+    if m < 4 * q:
+        rest = rng.permutation(np.setdiff1d(np.arange(m), special))
+        return np.concatenate([special, rest[: graph.n - 5]])
+    residue = min(set(range(q)) - set((special % q).tolist()))
+    rows = np.array(random.Random(seed).sample(range(1, (m - residue) // q),
+                                               graph.max_degree + 1))
+    base, _ = make_input_coloring(graph, m=graph.max_degree + 1, seed=seed)
+    colors = rows[base] * q + residue
+    colors[rng.choice(graph.n, size=5, replace=False)] = special
+    return colors
 
 
 class TestCoefficientTable:
+    """The jit mother kernel reads each polynomial's coefficients from the
+    base-``q`` digits of ``input color + q``; the array backend reads them
+    from its ``sequence_coefficients`` table."""
+
     #: (m, Delta, d): Linial's first step on big_graph's grid (ids in [10**12],
     #: Delta = 4, one batch: q = 163, f = 20), then defect and batch variety.
     CASES = [(10 ** 12, 4, 0), (16, 3, 0), (10 ** 4, 8, 2), (2 ** 40, 6, 1), (97, 1, 0)]
 
-    @pytest.mark.parametrize("m,delta,d", CASES)
-    def test_tiers_match_sequence_coefficients(self, m, delta, d):
-        from repro.core.corollaries import _single_batch_params
-        from repro.core.vectorized import sequence_coefficients
-
-        params = _single_batch_params(m, delta, d)
-        if (m, delta, d) == (10 ** 12, 4, 0):
-            assert (params.q, params.f) == (163, 20)
-        rng = np.random.default_rng(m % 1000)
-        colors = np.concatenate([
-            [0, 1, m // 2, m - 2, m - 1], rng.integers(0, m, size=300),
-        ]).astype(np.int64)
-        want = sequence_coefficients(colors, params)
-        assert want.max() < params.q
+    @staticmethod
+    def assert_tiers_match_array(graph, colors, params):
+        """Both jit tiers equal the array backend; returns its result."""
+        want = get_engine("array").run_mother(graph, colors, params.m, params=params)
         for kernels in (python_provider(), _compiled_provider()):
-            got = _table(kernels, colors, params)
-            assert got.dtype == np.int32
-            assert np.array_equal(got, want), kernels.kind
+            got = run_mother_jit(graph, colors, params.m, params=params, kernels=kernels)
+            assert np.array_equal(got.colors, want.colors), kernels.kind
+            assert np.array_equal(got.parts, want.parts), kernels.kind
+            assert got.rounds == want.rounds, kernels.kind
+        return want
+
+    @pytest.mark.parametrize("m,delta,d", CASES)
+    def test_tiers_match_array_backend(self, m, delta, d):
+        from repro.core.corollaries import _single_batch_params
+        from repro.core.params import MotherParameters
+
+        one_batch = _single_batch_params(m, delta, d)
+        if (m, delta, d) == (10 ** 12, 4, 0):
+            assert (one_batch.q, one_batch.f) == (163, 20)
+        q = one_batch.q
+        if delta == 1:
+            graph = Graph(200, np.arange(200).reshape(100, 2))  # a matching
+        else:
+            graph = generators.random_regular(min(m, 200), delta, seed=m % 1000)
+        colors = _five_case_coloring(graph, m, q, seed=m % 1000)
+        assert set(colors.tolist()) >= {0, 1, m // 2, m - 2, m - 1}
+        res = self.assert_tiers_match_array(graph, colors, one_batch)
+        past_trial_0 = bool((res.colors // q > 0).any())
+        by_batch = self.assert_tiers_match_array(
+            graph, colors, MotherParameters(m=m, delta=delta, d=d, k=1, f=one_batch.f, q=q))
+        assert by_batch.rounds == int(by_batch.parts.max())
+        if m >= 4 * q:
+            assert past_trial_0 and by_batch.rounds > 1
+
+    @pytest.mark.parametrize("q,f", [(5, 1), (11, 2)])
+    def test_full_width_colors(self, q, f):
+        """Colors up to ``q**(f + 1) - q - 1``, whose ``+ q`` takes all
+        ``f + 1`` digits, on a ring: a kernel that drops the top digit, reads
+        the digits in reverse or evaluates later trials at ``lo`` differs
+        from the array backend here (or raises).  Derived parameters with
+        ``f >= 2`` have ``q**f > m + q``, so their top digit is always 0."""
+        from repro.core.params import MotherParameters
+
+        ring = generators.ring(12)
+        m = q ** (f + 1) - q
+        for k in (1, q):
+            params = MotherParameters(m=m, delta=2, d=0, k=k, f=f, q=q)
+            for seed in range(20):
+                rng = np.random.default_rng(seed)
+                colors = np.zeros(12, dtype=np.int64)
+                colors[0] = m - 1
+                for v in range(1, 12):  # uniform in [m], unlike both ring neighbors
+                    banned = {colors[v - 1], colors[0] if v == 11 else -1}
+                    colors[v] = rng.choice(sorted(set(range(m)) - banned))
+                self.assert_tiers_match_array(ring, colors, params)
 
     @pytest.mark.parametrize("backend", ["array", "jit"])
     def test_word_size_guard(self, backend):
-        from repro.congest.graph import Graph
         from repro.core.params import MotherParameters, ParameterError
 
         # A 4-cycle with input colors >= 2**31 and a hand-built field of size
@@ -402,41 +459,32 @@ class TestCoefficientTable:
         if kernels is None:
             pytest.skip("no C compiler on this machine")
         graph = generators.ring(6)
-        colors = np.arange(6, dtype=np.int64)
-        table = np.zeros((6, 3), dtype=np.int32)
-        kernels.coefficients(colors, 7, table)  # well-formed: accepted
+        colors_in = np.arange(6, dtype=np.int64)
         act = np.arange(6, dtype=np.int64)
         active = np.ones(6, dtype=bool)
         parts = np.zeros(6, dtype=np.int64)
         vals = np.empty(6, dtype=np.int32)
 
-        def mother(coeffs=table, parts=parts, vals=vals):
-            kernels.mother_first(act, graph.indptr, graph.indices, coeffs, 7, 7, 0,
+        def mother(colors_in=colors_in, parts=parts, vals=vals):
+            kernels.mother_first(act, graph.indptr, graph.indices, colors_in, 3, 7, 7, 0,
                                  active, -np.ones(6, dtype=np.int64), parts, 0, 7,
                                  vals)
 
-        mother()
-        bad_tables = [
-            table.astype(np.int64),                       # wrong dtype
-            np.asfortranarray(table),                     # Fortran order
-            np.zeros((5, 3), dtype=np.int32),             # rows != n
-            np.zeros(18, dtype=np.int32),                 # not a table
+        mother()  # well-formed: accepted
+        bad_inputs = [
+            colors_in.astype(np.int32),                    # wrong dtype
+            np.arange(12, dtype=np.int64)[::2],            # not contiguous
+            colors_in[:5],                                 # shorter than n
         ]
-        for bad in bad_tables:
+        for bad in bad_inputs:
             with pytest.raises((TypeError, ValueError)):
-                mother(coeffs=bad)
-            with pytest.raises((TypeError, ValueError)):
-                kernels.coefficients(colors, 7, bad)
+                mother(colors_in=bad)
         with pytest.raises((TypeError, ValueError)):
             mother(vals=vals.astype(np.int64))
         with pytest.raises((TypeError, ValueError)):
             mother(vals=vals[:5])
         with pytest.raises((TypeError, ValueError)):
             mother(parts=parts[:5])
-        with pytest.raises((TypeError, ValueError)):
-            kernels.coefficients(colors.astype(np.int32), 7, table)
-        with pytest.raises((TypeError, ValueError)):
-            kernels.coefficients(colors[::2], 7, table[:3])
 
     def test_c_remove_classes_checks_its_arrays(self):
         from repro.core.kernels_cc import cc_provider

@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 from repro.congest import generators
+from repro.core import results
+from repro.core.results import BINCOUNT_SPAN, count_distinct
 from repro.verify.coloring import (
     VerificationError,
     assert_defective_coloring,
@@ -66,6 +68,40 @@ class TestCountingAndClasses:
     def test_count_colors_empty(self):
         g = generators.empty_graph(0)
         assert count_colors(g, np.array([])) == 0
+
+
+class TestCountDistinct:
+    """``count_distinct`` equals ``np.unique(...).size`` on both of its paths."""
+
+    @pytest.mark.parametrize("dtype", [np.int64, np.int32, np.uint16, np.uint64])
+    def test_both_sides_of_the_bincount_bound(self, dtype):
+        rng = np.random.default_rng(5)
+        for top in (BINCOUNT_SPAN * 50 - 1, BINCOUNT_SPAN * 50):  # bincount, then unique
+            values = rng.integers(0, top + 1, size=50).astype(dtype)
+            values[0] = top
+            assert count_distinct(values) == np.unique(values).size
+
+    def test_empty_negative_and_float(self):
+        assert count_distinct(np.array([], dtype=np.int64)) == 0
+        assert count_distinct(np.array([3, -1, 3, 0])) == np.unique([3, -1, 3, 0]).size == 3
+        assert count_distinct(np.array([0.5, 0.5, 2.0])) == 2
+
+    def test_id_sized_values_never_size_a_count_array(self, monkeypatch):
+        def no_bincount(*args, **kwargs):
+            raise AssertionError("bincount over an id-sized span")
+
+        monkeypatch.setattr(results.np, "bincount", no_bincount)
+        assert count_distinct(np.array([10 ** 12, 5, 10 ** 12])) == 2
+
+    def test_callers_share_it(self):
+        from repro.core.results import ColoringResult
+        from repro.verify.partition import assert_partition_degree_bound
+
+        g = generators.path(5)
+        colors = np.array([3, 5, 3, 5, 9])
+        assert count_colors(g, colors) == ColoringResult(colors, 0, 10).num_colors == 3
+        with pytest.raises(VerificationError, match="uses 3 parts"):
+            assert_partition_degree_bound(g, colors, np.array([1, 2, 3, 1, 2]), 0, max_parts=2)
 
 
 class TestDefects:
