@@ -107,7 +107,7 @@ def run_spec(
 
     ``shard=(i, k)`` — or a spec-declared ``run.shard`` — executes only the
     deterministic shard ``i`` of ``k`` of the cell grid; the override keeps
-    the hash of the document as given, so a fleet of ``k`` shard runs of one
+    the hash of the document as given, so the ``k`` shard runs of one
     spec all pin the *same* spec hash in their manifests (what ``repro
     merge`` validates before joining them).
     """

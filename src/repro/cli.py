@@ -257,11 +257,6 @@ def build_parser() -> argparse.ArgumentParser:
                             "(stable hash of cell identity; worker-count-independent); "
                             "any shard can run anywhere, any time — merge the K shard "
                             "files with `repro merge`")
-    batch.add_argument("--fleet", type=int, default=None, metavar="N",
-                       help="fleet coordinator: launch N shard subprocesses "
-                            "(--shard 0/N .. N-1/N), stream their progress, retry "
-                            "failed shards per the retry policy, and auto-merge the "
-                            "shard files into --output (required)")
     _add_retry_arguments(batch)
 
     merge = sub.add_parser(
@@ -526,8 +521,6 @@ def _parse_params(algorithm: str, pairs: list[str]) -> dict:
 def _cmd_batch(args) -> int:
     if args.resume and not args.output:
         raise SystemExit("--resume requires --output (the file to resume from)")
-    if args.fleet is not None:
-        return _cmd_batch_fleet(args)
     shard = _parse_shard(args.shard)
     if shard is not None and not args.output:
         raise SystemExit("--shard requires --output (the shard's result file)")
@@ -559,88 +552,6 @@ def _cmd_batch(args) -> int:
         print(f"wrote {sink.written} record(s) to {args.output}"
               + (f" ({skipped} cell(s) resumed from a previous run)" if skipped else ""))
     return _report_faults(result)
-
-
-def _shard_path(output: pathlib.Path, index: int, of: int) -> pathlib.Path:
-    """The per-shard result file the fleet coordinator writes/merges."""
-    return output.with_name(f"{output.stem}.shard{index}of{of}{output.suffix}")
-
-
-def _cmd_batch_fleet(args) -> int:
-    """``repro batch --fleet N``: N shard subprocesses, retried, auto-merged."""
-    if not args.output:
-        raise SystemExit("--fleet requires --output (the merged result file)")
-    if args.shard is not None:
-        raise SystemExit("--fleet and --shard are mutually exclusive "
-                         "(the fleet coordinator launches every shard itself)")
-    if args.fleet < 1:
-        raise SystemExit(f"--fleet must be >= 1, got {args.fleet}")
-    import subprocess
-
-    from repro.engine.fleet import run_fleet
-    from repro.engine.merge import merge_shards
-
-    of = args.fleet
-    output = pathlib.Path(args.output)
-    shard_paths = [_shard_path(output, i, of) for i in range(of)]
-    families = args.family if isinstance(args.family, list) else [args.family]
-
-    base = [sys.executable, "-m", "repro", "batch",
-            "--task", args.task,
-            "--family", *families,
-            "--nodes", *(str(n) for n in args.nodes),
-            "--delta", *(str(d) for d in args.delta),
-            "--seeds", str(args.seeds),
-            "--backend", args.backend,
-            "--workers", str(args.workers)]
-    if args.parity_check:
-        base.append("--parity-check")
-    for pair in args.param:
-        base += ["--param", pair]
-    if args.retries is not None:
-        base += ["--retries", str(args.retries)]
-    if args.cell_timeout is not None:
-        base += ["--cell-timeout", str(args.cell_timeout)]
-    if args.on_error is not None:
-        base += ["--on-error", args.on_error]
-
-    # Shards import ``repro`` from where this coordinator did, even when it
-    # was found through an import path the child would not otherwise see.
-    import os
-
-    import repro
-
-    package_root = str(pathlib.Path(repro.__file__).resolve().parent.parent)
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root, env.get("PYTHONPATH")]))
-
-    # Every launch resumes the shard's sink: a relaunched shard recomputes
-    # only the cells its previous attempt did not make durable.
-    def spawn(index: int, attempt: int) -> subprocess.Popen:
-        argv = base + ["--shard", f"{index}/{of}",
-                       "--output", str(shard_paths[index]), "--resume"]
-        return subprocess.Popen(argv, stdout=subprocess.PIPE,
-                                stderr=subprocess.STDOUT, text=True, env=env)
-
-    print(f"fleet: launching {of} shard subprocess(es) "
-          f"(backend={args.backend!r}, workers={args.workers} each)")
-    outcomes = run_fleet(spawn, of, retry=_retry_from_args(args))
-    failed = [outcome for outcome in outcomes if not outcome.ok]
-    if failed:
-        for outcome in failed:
-            print(f"fleet: shard {outcome.index}/{of} FAILED with exit code "
-                  f"{outcome.returncode} after {outcome.attempts} attempt(s)",
-                  file=sys.stderr)
-        print("fleet: not merging — completed shard files are kept; re-run to "
-              "resume them", file=sys.stderr)
-        return 1
-    merged = merge_shards(shard_paths, output)
-    attempts = sum(outcome.attempts for outcome in outcomes)
-    print(f"fleet: merged {merged.cells} record(s) from {merged.shards} shard(s) "
-          f"into {output} ({attempts} shard attempt(s) total)")
-    print(f"  grid hash {merged.manifest.grid_hash}; the merged file resumes "
-          "like a single-box run")
-    return 0
 
 
 def _cmd_merge(args) -> int:

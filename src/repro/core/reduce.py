@@ -25,10 +25,10 @@ message each, clearly CONGEST) and recoloring simultaneously; the returned
 :func:`repro.engine.registry.get_engine`.
 
 Each engine's removal runs one of the per-class loops below inside
-:func:`run_removal` (copy, target check, result).  The loops give identical
-colors and round counts, because the greedy "smallest free color" choice is
-deterministic (property-tested in ``tests/test_engine_parity.py`` and
-``tests/test_kernel_compaction.py``):
+:func:`run_removal` (copy, range and target checks, result).  The loops give
+identical colors and round counts, because the greedy "smallest free color"
+choice is deterministic (property-tested in ``tests/test_engine_parity.py``
+and ``tests/test_kernel_compaction.py``):
 
 * :func:`removal_loop_reference` — per-vertex Python sets;
 * :func:`removal_loop_array` — gathers only the CSR entries incident to the
@@ -84,11 +84,15 @@ def run_removal(
 ) -> ColoringResult:
     """The envelope of every engine's color-class removal.
 
-    Copies ``colors`` as int64, checks ``target_colors`` (default
-    ``Delta + 1``), lets ``loop(graph, colors, target, *args)`` recolor the
-    copy in place and return its round count, and wraps the outcome.
+    Copies ``colors`` as int64, rejects a negative color (the array loop
+    would index its occupancy row from the end), checks ``target_colors``
+    (default ``Delta + 1``), lets ``loop(graph, colors, target, *args)``
+    recolor the copy in place and return its round count, and wraps the
+    outcome.
     """
     colors = np.asarray(colors, dtype=np.int64).copy()
+    if colors.size and int(colors.min()) < 0:
+        raise ValueError(f"color-class removal needs non-negative colors, got {int(colors.min())}")
     target = _validated_target(graph, target_colors)
     rounds = loop(graph, colors, target, *args)
     return ColoringResult(
@@ -229,7 +233,7 @@ def kuhn_wattenhofer_reduction(
     engine = get_engine(backend)
     colors = np.asarray(colors, dtype=np.int64).copy()
     target = _validated_target(graph, target_colors)
-    if colors.size and int(colors.max()) >= m:
+    if colors.size and (int(colors.min()) < 0 or int(colors.max()) >= m):
         raise ValueError("input coloring uses colors outside the declared space [m]")
     block = 2 * target
     space = int(m)

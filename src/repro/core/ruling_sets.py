@@ -14,8 +14,9 @@ a member of ``S`` within ``r`` hops.
   for a proper coloring — hence the final set is independent; every filtered
   vertex has a surviving neighbor, so each phase adds one hop of domination.
 
-* :func:`mis_from_coloring` — the ``r = 1`` special case (process the color
-  classes sequentially), i.e. the classical ``O(C)``-round MIS from a coloring.
+* :func:`mis_from_coloring` — the ``r = 1`` special case: Lemma 3.2 with one
+  phase, whose sub-rounds process the color classes in order, i.e. the
+  classical ``O(C)``-round MIS from a coloring.
 
 * :func:`ruling_set_theorem15` — Theorem 1.5: balance the number of colors
   against the ruling-set phase by computing an ``O(Delta^{1+eps})``-coloring
@@ -103,30 +104,16 @@ def ruling_set_from_coloring(
 def mis_from_coloring(graph: Graph, colors: np.ndarray, num_colors: int) -> RulingSetResult:
     """Maximal independent set from a ``C``-coloring in ``C`` rounds (the ``r = 1`` case).
 
-    Color classes are processed in increasing color order; the vertices of the
-    current class that have no neighbor already in the set join simultaneously
-    (they are pairwise non-adjacent because the coloring is proper).
+    Lemma 3.2 with one phase: in base ``B = max(C, 2)`` every color is a
+    single digit, so sub-round ``c`` lets color class ``c`` join unless a
+    neighbor already joined — the greedy MIS along the color order (the
+    class's vertices are pairwise non-adjacent because the coloring is
+    proper).  Classes ``C..B-1`` are empty, so the count stays ``C`` rounds.
     """
-    colors = np.asarray(colors, dtype=np.int64)
-    in_set = np.zeros(graph.n, dtype=bool)
-    dominated = np.zeros(graph.n, dtype=bool)
-    rounds = 0
-    for c in range(num_colors):
-        rounds += 1
-        group = np.nonzero((colors == c) & ~dominated & ~in_set)[0]
-        if group.size == 0:
-            continue
-        for v in group:
-            if not any(in_set[u] for u in graph.neighbors(int(v))):
-                in_set[v] = True
-        for v in np.nonzero(in_set)[0]:
-            dominated[v] = True
-            for u in graph.neighbors(int(v)):
-                dominated[u] = True
-    vertices = np.nonzero(in_set)[0].astype(np.int64)
+    ruling = ruling_set_from_coloring(graph, colors, num_colors, base=max(num_colors, 2))
     return RulingSetResult(
-        vertices=vertices,
-        rounds=rounds,
+        vertices=ruling.vertices,
+        rounds=num_colors,
         r=1,
         alpha=2,
         metadata={"num_colors": num_colors, "method": "mis_from_coloring"},

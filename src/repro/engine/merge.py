@@ -1,6 +1,6 @@
 """Merge shard result files back into one canonical run.
 
-A fleet-scale sweep runs as ``k`` shard files (``repro batch --shard i/k``
+A sharded sweep runs as ``k`` shard files (``repro batch --shard i/k``
 or ``run_spec(..., shard=(i, k))``), each carrying a shard descriptor in its
 manifest: ``{"index": i, "of": k, "total": N, "cells": {cell_id: grid
 position}}``.  :func:`merge_shards` validates that the files really are the
@@ -283,8 +283,8 @@ def _merged_manifest(shards: Sequence[_Shard], total: int) -> RunManifest:
 
     ``workers`` is reported as 1 (the merged file is the canonical
     serial-equivalent run); ``backend_tier``/``cores`` are kept only when
-    every shard agrees — they are provenance, and a mixed fleet has no
-    single honest value.
+    every shard agrees — they are provenance, and shards run on mixed
+    machines have no single honest value.
     """
     first = shards[0].manifest
     tiers = {s.manifest.backend_tier for s in shards}

@@ -167,7 +167,7 @@ class RunManifest:
     CPU cores its machine had — and are never compared on resume (records
     are worker-count-independent by construction).
 
-    ``shard``, when set, marks the file as one shard of a fleet-scale sweep:
+    ``shard``, when set, marks the file as one shard of a sharded sweep:
     ``{"index": i, "of": k, "total": N, "cells": {cell_id: grid_position}}``.
     ``grid_hash`` stays the hash of the *full* grid (all ``N`` cells, the
     same value on every shard and on an unsharded run), while ``cells``

@@ -22,10 +22,16 @@ SHM_DIR = "/dev/shm"
 
 
 def repro_segments() -> set[str]:
-    """The repro-owned segments currently present in ``/dev/shm``."""
+    """The segments this process published that are still in ``/dev/shm``.
+
+    A segment's name carries the pid of the process that created it, and
+    only the sweep's parent publishes, so another suite or sweep on the same
+    machine never shows up here.
+    """
     if not os.path.isdir(SHM_DIR):  # pragma: no cover - non-Linux
         return set()
-    return {name for name in os.listdir(SHM_DIR) if name.startswith("repro-g-")}
+    prefix = f"repro-g-{os.getpid():x}-"
+    return {name for name in os.listdir(SHM_DIR) if name.startswith(prefix)}
 
 
 def stripped(result):

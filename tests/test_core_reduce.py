@@ -128,6 +128,14 @@ class TestRemoveColorClass:
         assert res.rounds == 0
         assert np.array_equal(res.colors, colors)
 
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_negative_color_rejected(self, backend):
+        # The array loop's occupancy row would read -3 from its end: on the
+        # path 0-1-2 it gave the middle vertex color 2, the other backends 0.
+        with pytest.raises(ValueError, match="non-negative"):
+            remove_color_class_reduction(generators.path(3), np.array([-3, 5, 1]),
+                                         backend=backend)
+
 
 def classes_oracle(colors: np.ndarray, target: int):
     """The class buckets by one stable argsort of ``-color``."""
@@ -198,6 +206,8 @@ class TestKuhnWattenhofer:
         g = generators.ring(6)
         with pytest.raises(ValueError):
             kuhn_wattenhofer_reduction(g, np.array([0, 1, 2, 3, 4, 10]), m=6)
+        with pytest.raises(ValueError, match=r"\[m\]"):
+            kuhn_wattenhofer_reduction(g, np.array([0, 1, 2, 3, 4, -1]), m=6)
 
     def test_rejects_small_target(self):
         g = generators.complete_graph(4)

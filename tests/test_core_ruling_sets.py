@@ -36,6 +36,23 @@ def loop_ruling_set_vertices(graph, colors, num_colors, base):
     return np.nonzero(candidates)[0], rounds
 
 
+def loop_mis_vertices(graph, colors, num_colors):
+    """The greedy MIS along the color order with per-vertex neighbor loops:
+    the implementation Lemma 3.2's one-phase case replaced."""
+    in_set = np.zeros(graph.n, dtype=bool)
+    dominated = np.zeros(graph.n, dtype=bool)
+    for c in range(num_colors):
+        group = np.nonzero((colors == c) & ~dominated & ~in_set)[0]
+        for v in group:
+            if not any(in_set[u] for u in graph.neighbors(int(v))):
+                in_set[v] = True
+        for v in np.nonzero(in_set)[0]:
+            dominated[v] = True
+            for u in graph.neighbors(int(v)):
+                dominated[u] = True
+    return np.nonzero(in_set)[0]
+
+
 class TestRulingSetFromColoring:
     def test_basic_properties(self):
         g = generators.random_regular(80, 6, seed=1)
@@ -121,6 +138,32 @@ class TestMisFromColoring:
         colors = greedy_coloring(g)
         res = ruling_sets.mis_from_coloring(g, colors, 7)
         assert res.size == 1
+
+    def test_colors_out_of_range(self):
+        # A color >= num_colors used to be skipped, leaving its vertex
+        # undominated: the returned set was not maximal.
+        g = generators.ring(6)
+        with pytest.raises(ValueError, match="num_colors"):
+            ruling_sets.mis_from_coloring(g, np.array([0, 1, 0, 1, 0, 2]), 2)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        n=st.integers(min_value=0, max_value=60),
+        p=st.floats(min_value=0.0, max_value=0.4),
+        seed=st.integers(min_value=0, max_value=1000),
+        spread=st.integers(min_value=1, max_value=4),
+        extra=st.integers(min_value=0, max_value=3),
+    )
+    def test_matches_color_order_loop(self, n, p, seed, spread, extra):
+        g = generators.gnp(n, p, seed=seed)
+        colors = greedy_coloring(g) * spread  # sparse classes, some empty
+        num_colors = (int(colors.max()) + 1 if g.n else 0) + extra
+        res = ruling_sets.mis_from_coloring(g, colors, num_colors)
+        assert np.array_equal(res.vertices, loop_mis_vertices(g, colors, num_colors))
+        assert res.rounds == num_colors and res.r == 1
+        if g.n:
+            assert is_independent_set(g, res.vertices)
+            assert domination_radius(g, res.vertices) <= 1
 
 
 class TestTheorem15AndBaseline:
