@@ -487,7 +487,7 @@ class JobStatus:
     resubmission of the same document *is* the same job.  ``cells_total`` /
     ``cells_done`` carry per-cell progress (mirrored from the sink), and
     ``backend_tier`` surfaces which execution tier actually ran the job
-    (e.g. ``jit:numba`` vs ``jit:fallback-array``) — the per-job answer to
+    (e.g. ``jit:cc`` vs ``jit:fallback-array``) — the per-job answer to
     "did the compiled path degrade?", which a one-time process warning cannot
     give a long-running server.
 

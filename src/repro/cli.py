@@ -284,7 +284,9 @@ def build_parser() -> argparse.ArgumentParser:
                     "/jobs/<id>/events (SSE), check /healthz.  Jobs are "
                     "content-addressed by spec hash (duplicates are cache "
                     "hits) and survive restarts via the resumable sinks in "
-                    "--state-dir.",
+                    "--state-dir.  On a multi-core machine a job's cells run "
+                    "through the crash-containing process pool, on one core on "
+                    "the job's queue thread; /healthz reports the mode.",
     )
     serve.add_argument("--host", default="127.0.0.1", help="bind address (default: 127.0.0.1)")
     serve.add_argument("--port", type=int, default=8765,
@@ -298,16 +300,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="on SIGTERM/SIGINT, wait this long for running jobs to "
                             "finish before forcing exit (default: 30; they resume "
                             "on restart either way)")
-    serve.add_argument("--execution", choices=("auto", "thread", "process"),
-                       default="auto",
-                       help="per-job execution plane: 'thread' runs a job's cells on "
-                            "its queue thread; 'process' fans them out through the "
-                            "crash-containing process pool (hardware-bound instead of "
-                            "GIL-bound); 'auto' (default) picks process on multi-core "
-                            "machines — /healthz reports the resolved mode")
-    serve.add_argument("--job-workers", type=int, default=None, metavar="N",
-                       help="per-job worker budget in process mode (default: machine "
-                            "cores split across the --workers job slots, min 2)")
     _add_retry_arguments(serve, with_on_error=False)
 
     corpus = sub.add_parser(
@@ -444,8 +436,10 @@ def _cmd_list_backends(args) -> int:
         )
     table.add_note("select one: --backend <name> on color/run/batch, or "
                    "Run(..., backend=<name>) in a spec")
+    table.add_note("jit builds its kernels with the C compiler on PATH (cc, gcc, "
+                   "clang or $CC) and falls back to array without one")
     table.add_note("jit threads are capped by REPRO_NUM_THREADS; "
-                   "REPRO_JIT_DISABLE=numba,cc forces the array fallback")
+                   "REPRO_JIT_DISABLE=cc forces the array fallback")
     print(table.render())
     return 0
 
@@ -577,8 +571,7 @@ def _cmd_serve(args) -> int:
 
     server = JobServer(args.state_dir, host=args.host, port=args.port,
                        workers=args.workers, drain_timeout=args.drain_timeout,
-                       default_retry=_retry_from_args(args),
-                       execution=args.execution, job_workers=args.job_workers)
+                       default_retry=_retry_from_args(args))
 
     async def _serve() -> int:
         await server.start()

@@ -15,9 +15,9 @@ fully vectorized CSR constructor — no generator appends edges one Python
 tuple at a time.  Deterministic families and the block-drawing random
 families build million-vertex instances in fractions of a second.  The
 attachment process of ``power_law_cluster`` is inherently sequential, so it
-runs as one pass of the attachment kernel on the jit provider ladder
-(:mod:`repro.core.kernels_jit`): compiled where a tier resolves, the
-kernel's Python function otherwise.
+runs as one pass of the attachment kernel (:mod:`repro.core.kernels_jit`):
+the jit backend's C tier where it resolves, the kernel's Python function
+otherwise.
 
 Randomized streams: ``gnp``, ``random_bipartite`` and ``random_tree`` consume
 their :func:`canonical_rng` stream in exactly the same order as the historical
@@ -26,8 +26,8 @@ seeds still produce *identical* graphs.  ``random_regular`` (round-based stub
 pairing) consumes its stream in a new, still seed-deterministic order.
 ``power_law_cluster`` pre-draws raw 64-bit words from its stream
 (``bit_generator.random_raw``) and the kernel uses them up one per draw in
-vertex order, so every kernel tier builds the same graph from one seed.  The
-generator tests pin both new streams by checksum.
+vertex order, so the C and the Python kernel build the same graph from
+one seed.  The generator tests pin both new streams by checksum.
 """
 
 from __future__ import annotations
@@ -306,18 +306,19 @@ def power_law_cluster(n: int, attach: int, seed: int = 0) -> Graph:
     targets, each an endpoint of a uniformly drawn earlier edge, which is
     exactly degree-proportional sampling (Batagelj & Brandes, "Efficient
     generation of large random networks", Phys. Rev. E 71, 036113, 2005).
-    The pass is sequential, so it runs as the attachment kernel of the jit
-    provider ladder (compiled where a tier resolves, else its Python
-    function) on words pre-drawn from the seed's stream; every tier consumes
-    the same words, so one seed gives one graph on every tier.
+    The pass is sequential, so it runs as the attachment kernel (the jit
+    backend's C tier where it resolves, else its Python function) on words
+    pre-drawn from the seed's stream; both consume the same words, so one
+    seed gives one graph either way.
     """
     if attach < 1:
         raise GraphError("attach must be >= 1")
     if n <= attach:
         return complete_graph(n)
-    from repro.core.kernels_jit import get_provider, python_provider
+    from repro.core.kernels_jit import _kernel_attach, get_provider
 
-    kernels = get_provider() or python_provider()
+    kernels = get_provider()
+    attach_pass = kernels.attach if kernels is not None else _kernel_attach
     clique = complete_graph(attach).edge_array()
     edges = np.empty((clique.shape[0] + (n - attach) * attach, 2), dtype=np.int64)
     edges[: clique.shape[0]] = clique
@@ -325,8 +326,8 @@ def power_law_cluster(n: int, attach: int, seed: int = 0) -> Graph:
     draws = (n - attach) * attach
     words = _words(bits, draws + draws // 8 + 64)  # slack for repeated targets
     mark = np.empty(n, dtype=np.int64)
-    while kernels.attach(words, edges.reshape(-1), clique.size, attach, n,
-                         attach, mark) < 0:
+    while attach_pass(words, edges.reshape(-1), clique.size, attach, n,
+                      attach, mark) < 0:
         words = np.concatenate([words, _words(bits, words.size)])
     return Graph.from_edge_array(n, edges)
 

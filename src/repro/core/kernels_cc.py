@@ -1,39 +1,46 @@
-"""The C tier of the ``jit`` backend: one-file extension built with the
-system compiler, loaded via :mod:`ctypes`.
+"""The compiled kernels of the ``jit`` backend: one C file built with the
+system compiler and loaded via :mod:`ctypes`.
 
-When numba is not installed (the preferred tier, see
-:mod:`repro.core.kernels_jit`) but a C compiler is on PATH, the three
-kernels are compiled *once* from the embedded source below into a small
-shared library and called through :mod:`ctypes` — ctypes foreign calls drop
-the GIL, and the engine kernels multi-thread their per-vertex loops with OpenMP
-when the toolchain supports it (``REPRO_NUM_THREADS`` caps the team size;
-a process forked after the library loaded runs them single-threaded, see
-:func:`cc_provider`).
+The three kernels — a mother-algorithm batch (``repro_mother_first``),
+color-class removal (``repro_remove_classes``) and preferential attachment
+(``repro_attach``) — are compiled *once* from the embedded source below into
+a small shared library.  ctypes foreign calls drop the GIL, and the engine
+kernels multi-thread their per-vertex loops with OpenMP when the toolchain
+supports it (``REPRO_NUM_THREADS`` caps the team size; a process forked
+after the library loaded runs them single-threaded, see :func:`cc_provider`).
 
-The C code is a line-for-line translation of the pure-Python kernels in
-:mod:`repro.core.kernels_jit` (the single source of semantics, parity-tested
-against the array backend), operating on the same int64 CSR arrays, the
-int64 input colors (whose base-``q`` digits are the polynomial
-coefficients, see ``poly_at``) and caller-provided scratch.  All arithmetic is
-non-negative int64 modular arithmetic, so the results are bit-identical to
-both the NumPy and the numba tiers.  The loops index without bounds checks,
-so the ctypes wrappers check dtypes, contiguity and sizes first (O(1)).
+The kernels operate on int64 CSR arrays, the int64 input colors (whose
+base-``q`` digits are the polynomial coefficients, see ``poly_at``) and
+caller-provided scratch.  All arithmetic is non-negative int64 modular
+arithmetic, so the results are bit-identical to the array backend, which
+with the reference backend is the parity oracle of the engine kernels; the
+attachment kernel is tested against its Python specification,
+:func:`repro.core.kernels_jit._kernel_attach`.  The loops index without
+bounds checks, so the ctypes wrappers check dtypes, contiguity and sizes
+first (O(1)).
 
-The threads never race, by the same argument as the Python kernels': no
-iteration reads a cell another iteration writes.  ``repro_mother_first``
-runs its two loops in one parallel region.  The first writes ``vals[v]``
-for each active ``v``; the implicit barrier of its ``omp for`` ends every
-write before the second loop reads ``vals``.  There, iteration ``r`` writes
-only ``colors[v]`` and ``parts[v]`` of its own active ``v = act[r]`` and
-reads ``colors[u]`` only for an inactive ``u``.  ``active`` is read-only, so
-no iteration reads the color another one adopts.
+Determinism under threads is by construction, not by locking: no iteration
+reads a cell another iteration of the same loop writes.
+``repro_mother_first`` runs its two loops in one parallel region.  The first
+writes ``vals[v]`` for each active ``v``; the implicit barrier of its
+``omp for`` ends every write before the second loop reads ``vals``.  There,
+iteration ``r`` writes only ``colors[v]`` and ``parts[v]`` of its own active
+``v = act[r]`` and reads ``colors[u]`` only for an inactive ``u``.
+``active`` is read-only, so no iteration reads the color another one
+adopts.  In ``repro_remove_classes``, iteration ``r`` writes ``colors[v]``
+for ``v`` in one color class, an independent set, so no vertex of the class
+reads another's color.  Outputs are therefore bit-identical for any thread
+count.
 
 Build artifacts are content-addressed: the library lands in
 ``$REPRO_JIT_CACHE`` (default ``~/.cache/repro/jit``) under a hash of the
 source and compiler, so every later process just ``dlopen``\\ s it — compile
-cost is paid once per machine, never per run.  Any failure (no compiler,
-compile error, unloadable library) makes :func:`cc_provider` return ``None``
-and the ``jit`` backend moves on to its array fallback.
+cost is paid once per machine, never per run.  Each build compiles its own
+copy of the source into its own library and renames the library into place,
+so concurrent builders never read each other's half-written files.  Any
+failure (no compiler, compile error, a library that does not load or lacks
+a kernel) makes :func:`cc_provider` return ``None`` and the ``jit`` backend
+moves on to its array fallback.
 """
 
 from __future__ import annotations
@@ -51,7 +58,7 @@ from typing import Any
 
 import numpy as np
 
-__all__ = ["cc_provider", "build_library", "find_compiler"]
+__all__ = ["CcKernels", "cc_provider", "build_library", "find_compiler"]
 
 _SOURCE = r"""
 #include <stdint.h>
@@ -68,8 +75,8 @@ _SOURCE = r"""
 /* p_c(x) mod q: the base-q digits of c + q, lowest first, are the
    polynomial's coefficients.  It stops once the quotient is 0 (every higher
    digit is 0) and takes at most f1 digits.  Digits and powers are below
-   q < 2^31, so every product fits in int64, matching the NumPy and numba
-   tiers exactly. */
+   q < 2^31, so every product fits in int64, matching the NumPy tables
+   exactly. */
 static inline int64_t poly_at(int64_t c, int64_t f1, int64_t x, int64_t q)
 {
     int64_t rest = c + q, acc = 0, power = 1;
@@ -272,9 +279,12 @@ def build_library(cache_dir: str | os.PathLike | None = None
         return sofile, info
     try:
         directory.mkdir(parents=True, exist_ok=True)
-        csource = directory / f"repro_kernels_{digest}.c"
-        csource.write_text(_SOURCE, encoding="utf-8")
+        # Per-process source and library: a shared source file would be
+        # truncated under a concurrent builder's compiler, and an empty
+        # source compiles into a valid library without the kernels.
         tmp = directory / f".build_{digest}_{os.getpid()}.so"
+        csource = tmp.with_suffix(".c")
+        csource.write_text(_SOURCE, encoding="utf-8")
         start = time.perf_counter()
         openmp = True
         cmd = [compiler, *_BASE_FLAGS, "-fopenmp", str(csource), "-o", str(tmp)]
@@ -283,6 +293,7 @@ def build_library(cache_dir: str | os.PathLike | None = None
             openmp = False
             cmd = [compiler, *_BASE_FLAGS, str(csource), "-o", str(tmp)]
             proc = subprocess.run(cmd, capture_output=True, text=True)
+        csource.unlink(missing_ok=True)
         if proc.returncode != 0:
             tmp.unlink(missing_ok=True)
             return None
@@ -308,20 +319,27 @@ def _pu8(array: np.ndarray):
     return array.ctypes.data_as(POINTER(c_uint8))
 
 
-class _CcKernels:
-    """ctypes wrappers presenting the library under the provider interface.
+class CcKernels:
+    """The C tier: ctypes wrappers around the library's kernels, with the
+    provenance the jit engine reports (``kind``, ``version``, ``threads``,
+    ``detail``).
 
-    The contract mirrors the pure-Python kernels: int64 C-contiguous CSR,
-    index and input-color arrays, int32 ``vals`` scratch, ``active``
-    as a 1-byte bool array, ``used`` as uint8 scratch.  The callers
-    (``run_mother_jit``, ``removal_loop_jit``, ``power_law_cluster``)
-    construct arrays with exactly these dtypes, so no conversion happens
-    here; every kernel that indexes caller arrays unchecked checks them
-    first (O(1)).
+    The contract: int64 C-contiguous CSR, index and input-color arrays,
+    int32 ``vals`` scratch, ``active`` as a 1-byte bool array, ``used`` as
+    uint8 scratch.  The callers (``run_mother_jit``, ``removal_loop_jit``,
+    ``power_law_cluster``) construct arrays with exactly these dtypes, so no
+    conversion happens here; every kernel that indexes caller arrays
+    unchecked checks them first (O(1)).  Binding the argument types looks up
+    every kernel symbol, so a library that lacks one raises
+    :class:`AttributeError` here, before any call.
     """
 
-    def __init__(self, lib: ctypes.CDLL):
+    kind = "cc"
+
+    def __init__(self, lib: ctypes.CDLL, version: str, detail: dict[str, Any]):
         self._lib = lib
+        self.version = version
+        self.detail = detail
         lib.repro_mother_first.restype = None
         lib.repro_mother_first.argtypes = [
             c_int64, POINTER(c_int64), POINTER(c_int64), POINTER(c_int64),
@@ -343,16 +361,22 @@ class _CcKernels:
         lib.repro_set_threads.argtypes = [c_int64]
         lib.repro_get_threads.restype = c_int64
         lib.repro_get_threads.argtypes = []
+        self.threads = int(lib.repro_get_threads())
 
-    def set_threads(self, n: int) -> int:
+    def set_threads(self, n: int) -> None:
+        """Set the OpenMP team size (a build without OpenMP stays at 1)."""
         self._lib.repro_set_threads(int(n))
-        return int(self._lib.repro_get_threads())
-
-    def threads(self) -> int:
-        return int(self._lib.repro_get_threads())
+        self.threads = int(self._lib.repro_get_threads())
 
     def mother_first(self, act, indptr, indices, colors_in, f1, q, keff, d, active,
                      colors, parts, lo, hi, vals) -> None:
+        """One mother-algorithm batch over trials ``[lo, hi)``: each active
+        vertex ``act[r]`` writes its first trial with at most ``d``
+        conflicts to ``colors`` (``(x % keff) * q + p_v(x)``) and its batch
+        ``lo // keff + 1`` to ``parts``, and keeps ``-1`` when none
+        qualifies.  ``f1 = f + 1`` bounds the digits of ``colors_in + q``
+        that make up each polynomial.  ``vals`` needs no fill: the kernel
+        writes every active vertex's entry before reading any."""
         _require("mother_first", np.int64, act, indptr, indices, colors_in, colors, parts)
         _require("mother_first", np.bool_, active)
         _require("mother_first", np.int32, vals)
@@ -405,30 +429,23 @@ def _require(kernel: str, dtype, *arrays: np.ndarray) -> None:
                             f"{np.dtype(dtype).name}, got {array.dtype}")
 
 
-def cc_provider(cache_dir: str | os.PathLike | None = None):
-    """Build/load the C tier as a :class:`~repro.core.kernels_jit.KernelProvider`;
-    ``None`` when no compiler is available or the build/load fails."""
-    from repro.core.kernels_jit import KernelProvider, requested_thread_cap
+def cc_provider(cache_dir: str | os.PathLike | None = None) -> CcKernels | None:
+    """Build or load the C tier; ``None`` when no compiler is available, the
+    build fails, or the library does not load or lacks a kernel."""
+    from repro.core.kernels_jit import requested_thread_cap
 
     built = build_library(cache_dir)
     if built is None:
         return None
     sofile, info = built
     try:
-        kernels = _CcKernels(ctypes.CDLL(str(sofile)))
-    except OSError:
+        kernels = CcKernels(ctypes.CDLL(str(sofile)), str(info.get("compiler", "cc")),
+                            {"library": str(sofile), **info})
+    except (OSError, AttributeError):
         return None
     cap = requested_thread_cap()
-    threads = kernels.set_threads(cap) if cap is not None else kernels.threads()
-    provider = KernelProvider(
-        kind="cc",
-        version=str(info.get("compiler", "cc")),
-        threads=threads,
-        mother_first=kernels.mother_first,
-        remove_classes=kernels.remove_classes,
-        attach=kernels.attach,
-        detail={"library": str(sofile), **info},
-    )
+    if cap is not None:
+        kernels.set_threads(cap)
     if hasattr(os, "register_at_fork"):  # POSIX only
         # libgomp is not fork-safe: a child forked from a thread that already
         # ran a parallel region inherits that thread's team, whose worker
@@ -436,9 +453,5 @@ def cc_provider(cache_dir: str | os.PathLike | None = None):
         # parallel region.  One thread never starts a team, so a forked child
         # (e.g. a fork-started pool worker) runs the kernels single-threaded.
         # (A build without OpenMP ignores the thread count.)
-        os.register_at_fork(after_in_child=lambda: _single_threaded(kernels, provider))
-    return provider
-
-
-def _single_threaded(kernels: _CcKernels, provider) -> None:
-    provider.threads = kernels.set_threads(1)
+        os.register_at_fork(after_in_child=lambda: kernels.set_threads(1))
+    return kernels

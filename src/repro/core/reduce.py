@@ -36,7 +36,7 @@ and ``tests/test_kernel_compaction.py``):
   a round costs ``O(affected degree)`` and a whole reduction ``O(|E| + n log
   n)`` instead of ``O(color classes x |E|)``;
 * :func:`removal_loop_jit` — hands the whole reduction to one compiled
-  kernel call (:mod:`repro.core.kernels_jit`: numba or the C tier), which
+  kernel call (the C tier, :mod:`repro.core.kernels_cc`), which
   runs the classes in order and fuses the gather and the occupancy scan
   into one pass per affected vertex.
 """

@@ -7,9 +7,9 @@ One backend API, three interchangeable implementations:
 * :class:`ArrayEngine` (``backend="array"``) — the whole-graph NumPy twin
   over the CSR adjacency, bit-identical outputs, orders of magnitude faster;
 * :class:`JitEngine` (``backend="jit"``) — compiled multi-threaded kernels
-  (numba, or an OpenMP C extension when numba is absent), bit-identical to
-  the array twin; degrades to the array backend with one warning when no
-  compiled tier is available.
+  (an OpenMP C extension built on first use), bit-identical to the array
+  twin; degrades to the array backend with one warning when no C compiler
+  builds it.
 
 Every algorithm in :mod:`repro.core` accepts ``backend=`` and routes its
 two primitive steps (mother-algorithm invocations and color-class removal)

@@ -144,7 +144,7 @@ class Engine(abc.ABC):
 
         For single-path engines this is just the backend name.  Tiered
         engines (the jit backend) override it to report which tier resolved
-        — e.g. ``"jit:numba"``, ``"jit:cc"`` or ``"jit:fallback-array"`` —
+        — ``"jit:cc"`` or ``"jit:fallback-array"`` —
         so per-job metadata (RunReport provenance, sink manifests, the job
         server's ``/healthz``) can surface silent degradation instead of
         relying on a once-per-process warning.

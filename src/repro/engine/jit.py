@@ -1,18 +1,17 @@
 """The compiled multi-threaded backend.
 
 Routes the two :class:`repro.engine.base.Engine` primitives through the
-fused kernels of :mod:`repro.core.kernels_jit` — numba ``@njit`` when numba
-is installed, an OpenMP C extension compiled on first use otherwise (see
-:mod:`repro.core.kernels_cc`).  Outputs are bit-identical to the array
-backend (property-tested and golden-replayed); no per-message simulator
-metrics are produced.
+fused kernels of :mod:`repro.core.kernels_jit`: an OpenMP C extension
+compiled on first use (see :mod:`repro.core.kernels_cc`).  Outputs are
+bit-identical to the array backend (property-tested and golden-replayed);
+no per-message simulator metrics are produced.
 
-This engine is the one place the jit backend resolves its kernel provider
-and the one place it falls back: when neither compiled tier is available it
-runs the array backend, emitting a single :class:`RuntimeWarning` per
-process — results are still correct and identical, only slower.
-``REPRO_NUM_THREADS`` caps the kernel thread count; ``REPRO_JIT_DISABLE``
-(comma-separated tier names) pins or disables tiers for testing.
+This engine is the one place the jit backend resolves its kernels and the
+one place it falls back: when the C tier does not build it runs the array
+backend, emitting a single :class:`RuntimeWarning` per process — results
+are still correct and identical, only slower.  ``REPRO_NUM_THREADS`` caps
+the kernel thread count; ``REPRO_JIT_DISABLE=cc`` forces the fallback for
+testing.
 """
 
 from __future__ import annotations
@@ -45,10 +44,10 @@ def _warn_fallback_once() -> None:
         return
     _FALLBACK_WARNED = True
     warnings.warn(
-        "backend='jit': no compiled kernel tier is available (numba is not "
-        "installed and no C compiler produced a working extension); falling "
-        "back to the array backend. Results are identical, only slower. "
-        "Install numba (pip install 'repro[jit]') for the compiled path.",
+        "backend='jit': no compiled kernel tier is available (no C compiler "
+        "produced a working extension, or REPRO_JIT_DISABLE=cc); falling back "
+        "to the array backend. Results are identical, only slower. Put a C "
+        "compiler (cc, gcc or clang, or $CC) on PATH for the compiled path.",
         RuntimeWarning,
         stacklevel=3,
     )
@@ -61,7 +60,7 @@ def _reset_fallback_warning() -> None:
 
 
 class JitEngine(Engine):
-    """Compiled-kernel backend (numba or C tier; array fallback)."""
+    """Compiled-kernel backend (the C tier; array fallback)."""
 
     name = "jit"
 
@@ -75,8 +74,8 @@ class JitEngine(Engine):
         """The ``"jit"`` fault-injection site: poison this engine's kernels.
 
         Fires at the entry of every primitive — *before* provider resolution,
-        so an injected crash/hang behaves the same on every tier (numba, C,
-        or the array fallback).  Suppressed during :meth:`warmup`: the retry
+        so an injected crash/hang behaves the same on the C tier and on the
+        array fallback.  Suppressed during :meth:`warmup`: the retry
         ladder guards cells, not engine construction.
         """
         if not self._warming:
@@ -103,7 +102,7 @@ class JitEngine(Engine):
 
     @property
     def provider_kind(self) -> str | None:
-        """``"numba"`` / ``"cc"``, or ``None`` on the fallback path."""
+        """``"cc"``, or ``None`` on the fallback path."""
         provider = self._resolve()
         return provider.kind if provider is not None else None
 
@@ -161,9 +160,9 @@ class JitEngine(Engine):
     # ------------------------------------------------------------------ #
 
     def warmup(self) -> None:
-        """Compile/load the kernels and run both primitives on a tiny graph,
-        so numba's first-call compilation (or the C tier's first ``dlopen``)
-        never lands inside a timed sweep cell.  Idempotent."""
+        """Build/load the kernels and run both primitives on a tiny graph,
+        so the C tier's first build or ``dlopen`` never lands inside a timed
+        sweep cell.  Idempotent."""
         if self._warm:
             return
         self._warm = True
@@ -180,7 +179,7 @@ class JitEngine(Engine):
             self._warming = False
 
     def active_tier(self) -> str:
-        """``"jit:numba"`` / ``"jit:cc"``, or ``"jit:fallback-array"``.
+        """``"jit:cc"``, or ``"jit:fallback-array"``.
 
         Resolving the provider is what answers the question, so the first
         call may trigger the one-time tier resolution (and the fallback

@@ -157,7 +157,7 @@ class RunManifest:
     back to — and re-verified against — the spec that produced it.
 
     ``backend_tier`` records the execution tier that actually ran (see
-    :meth:`repro.engine.base.Engine.active_tier` — e.g. ``"jit:numba"`` vs
+    :meth:`repro.engine.base.Engine.active_tier` — e.g. ``"jit:cc"`` vs
     ``"jit:fallback-array"``), so a result file also answers *how* its
     backend executed.  The tier is informational provenance, not identity:
     resume does **not** compare it (results are bit-identical across tiers

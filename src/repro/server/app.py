@@ -429,7 +429,7 @@ class JobServer:
                 "drain_timeout": self.drain_timeout,
             },
             "backends": describe_backends(),
-            # The per-process degradation report: e.g. "jit:numba" vs
+            # The per-process degradation report: e.g. "jit:cc" vs
             # "jit:fallback-array" — no warning-scraping required.
             "backend_tiers": {
                 name: get_engine(name).active_tier() for name in available_backends()

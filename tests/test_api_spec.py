@@ -268,7 +268,7 @@ class TestJobStatus:
         from repro.api.spec import JobStatus
 
         status = self.make(state="running", cells_total=4, cells_done=2,
-                           backend_tier="jit:numba", submitted_at=12.5, attempts=1)
+                           backend_tier="jit:cc", submitted_at=12.5, attempts=1)
         assert JobStatus.from_json(status.to_json()) == status
 
     def test_terminal_states(self):

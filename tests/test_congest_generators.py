@@ -307,11 +307,11 @@ class TestArrayNativeStreams:
 
 
 class TestAttachKernel:
-    """``power_law_cluster``'s attachment kernel on every tier of the ladder.
+    """``power_law_cluster``'s attachment kernel, in Python and in C.
 
-    The Python function is the specification and the floor; the resolved
-    compiled tier (C here, numba where it is installed) must write the same
-    edges from the same words, and run out of words at the same point.
+    The Python function is the specification and the floor; the C tier must
+    write the same edges from the same words, and run out of words at the
+    same point.
     """
 
     @staticmethod
@@ -321,16 +321,15 @@ class TestAttachKernel:
         provider = get_provider()
         if provider is None:
             pytest.skip("no compiled kernel tier on this machine")
-        return provider
+        return provider.attach
 
     @staticmethod
-    def run(kernels, n, attach, words):
+    def run(attach_pass, n, attach, words):
         clique = generators.complete_graph(attach).edge_array()
         edges = np.full((clique.shape[0] + (n - attach) * attach, 2), -7, dtype=np.int64)
         edges[: clique.shape[0]] = clique
         mark = np.empty(n, dtype=np.int64)
-        used = kernels.attach(words, edges.reshape(-1), clique.size, attach, n,
-                              attach, mark)
+        used = attach_pass(words, edges.reshape(-1), clique.size, attach, n, attach, mark)
         return used, edges
 
     @staticmethod
@@ -340,11 +339,11 @@ class TestAttachKernel:
     @pytest.mark.parametrize("attach", [1, 2, 3, 4, 8])
     @pytest.mark.parametrize("size", ["smallest", 500])
     def test_tiers_write_the_same_edges(self, attach, size):
-        from repro.core.kernels_jit import python_provider
+        from repro.core.kernels_jit import _kernel_attach
 
         n = attach + 1 if size == "smallest" else size
         words = self.words(attach, 4 * n * attach + 64)
-        used, edges = self.run(python_provider(), n, attach, words)
+        used, edges = self.run(_kernel_attach, n, attach, words)
         assert used >= (n - attach) * attach
         want = self.run(self.compiled(), n, attach, words)
         assert want[0] == used
@@ -359,13 +358,13 @@ class TestAttachKernel:
 
     @pytest.mark.parametrize("attach", [1, 3, 8])
     def test_words_run_out_at_the_same_point(self, attach):
-        from repro.core.kernels_jit import python_provider
+        from repro.core.kernels_jit import _kernel_attach
 
         n = 60
         words = self.words(attach + 10, 4 * n * attach + 64)
-        used, _ = self.run(python_provider(), n, attach, words)
+        used, _ = self.run(_kernel_attach, n, attach, words)
         for cut in (0, used // 2, used - 1):
-            spec = self.run(python_provider(), n, attach, words[:cut])
+            spec = self.run(_kernel_attach, n, attach, words[:cut])
             compiled = self.run(self.compiled(), n, attach, words[:cut])
             assert spec[0] == compiled[0] == -1
             assert np.array_equal(compiled[1], spec[1])
@@ -393,7 +392,7 @@ class TestAttachKernel:
         self.compiled()
         sizes = ((300, 3), (80, 1))
         want = [generators.power_law_cluster(n, a, seed=4) for n, a in sizes]
-        monkeypatch.setenv("REPRO_JIT_DISABLE", "numba,cc")
+        monkeypatch.setenv("REPRO_JIT_DISABLE", "cc")
         reset_provider_cache()
         try:
             assert get_provider() is None

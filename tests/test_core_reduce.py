@@ -14,7 +14,7 @@ from repro.congest import generators
 from repro.congest.graph import Graph
 from repro.congest.ids import random_proper_coloring
 from repro.core.corollaries import kdelta_coloring
-from repro.core.kernels_jit import get_provider, python_provider
+from repro.core.kernels_jit import get_provider
 from repro.core.reduce import (
     _classes_from_top,
     kuhn_wattenhofer_reduction,
@@ -265,11 +265,10 @@ class TestKuhnWattenhoferOracle:
         res = kuhn_wattenhofer_reduction(Graph(0), np.empty(0, dtype=np.int64), 64, target_colors=4)
         assert (res.metadata["phases"], res.rounds) == (4, 16)  # 64 -> 32 -> 16 -> 8 -> 4
 
-    @pytest.mark.parametrize("tier", ["python", "compiled"])
-    def test_removal_kernel_on_a_same_block_subgraph(self, tier):
-        # One phase of the composition: the jit loop on a kernel tier against
+    def test_removal_kernel_on_a_same_block_subgraph(self):
+        # One phase of the composition: the jit loop on the C kernel against
         # the array loop, on the subgraph of edges inside a block.
-        kernels = python_provider() if tier == "python" else get_provider()
+        kernels = get_provider()
         if kernels is None:
             pytest.skip("no compiled kernel tier on this machine")
         graph = generators.random_regular(80, 6, seed=3)

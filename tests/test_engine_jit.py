@@ -6,17 +6,15 @@ Three layers of coverage:
   itself (tier, threads, versions), and unknown backends fail with the typed
   :class:`UnknownBackendError` everywhere (registry, reductions, Run specs).
 * **Parity** — property tests pin the jit engine to the array backend across
-  the composed pipelines, whichever kernel tier resolved.  The plain-Python
-  provider (the *exact* source the numba tier compiles) is parity-tested
-  separately so the numba kernels' logic is verified even where numba is not
-  installed; the C tier is exercised whenever a compiler is present.
-* **Fallback** — with numba unimportable and the C tier disabled the engine
-  degrades to the array backend with a single :class:`RuntimeWarning` per
-  process and bit-identical results.
+  the composed pipelines, and the C kernels are compared with the reference
+  and array backends directly whenever a compiler is present.
+* **Fallback** — with the C tier disabled, or its library unusable, the
+  engine degrades to the array backend with a single
+  :class:`RuntimeWarning` per process and bit-identical results.
 """
 
 import random
-import sys
+import subprocess
 import warnings
 
 import numpy as np
@@ -26,10 +24,10 @@ from hypothesis import given, settings, strategies as st
 from helpers import make_input_coloring
 from repro.congest import generators
 from repro.congest.graph import Graph
-from repro.core import kernels_jit, pipelines
+from repro.core import kernels_cc, pipelines
+from repro.core.algorithm1 import run_mother_algorithm
 from repro.core.kernels_jit import (
     get_provider,
-    python_provider,
     requested_thread_cap,
     reset_provider_cache,
     run_mother_jit,
@@ -49,6 +47,7 @@ from repro.engine import (
 )
 from repro.engine import jit as jit_module
 from repro.engine.retry import RetryPolicy
+from repro.engine.sink import machine_cores
 from repro.verify.coloring import assert_proper_coloring
 
 
@@ -124,7 +123,7 @@ class TestJitResolution:
         assert "numpy" in jit_info["versions"]
         assert isinstance(jit_info["available"], bool)
         if jit_info["available"]:
-            assert jit_info["kernel"] in ("numba", "cc")
+            assert jit_info["kernel"] == "cc"
             assert jit_info["threads"] >= 1
         else:
             assert jit_info["fallback"] == "array"
@@ -147,15 +146,28 @@ class TestJitResolution:
         monkeypatch.setenv("REPRO_NUM_THREADS", "lots")
         assert requested_thread_cap() is None
 
+    def test_thread_cap_is_clamped_at_the_cores(self, monkeypatch, pristine_provider):
+        # OpenMP starts a team of any size it is given.  Only the resolved
+        # count is read: no kernel runs while the cap is raised.
+        cores = machine_cores()
+        monkeypatch.setenv("REPRO_NUM_THREADS", str(cores + 1))
+        reset_provider_cache()
+        provider = get_provider()
+        if provider is None:
+            pytest.skip("needs the C tier")
+        assert provider.threads <= cores
+
     def test_pool_forked_after_threaded_kernels_completes(self, monkeypatch,
                                                           pristine_provider):
         # A fork-started pool worker inherits the forking thread's OpenMP
         # team but not its threads; before the C tier went single-threaded
         # in forked children, such a worker blocked at its first kernel.
+        if machine_cores() < 2:
+            pytest.skip("needs two cores for two kernel threads")
         monkeypatch.setenv("REPRO_NUM_THREADS", "2")
         reset_provider_cache()
         provider = get_provider()
-        if provider is None or provider.kind != "cc" or not provider.detail.get("openmp"):
+        if provider is None or not provider.detail.get("openmp"):
             pytest.skip("needs the OpenMP C tier")
         assert provider.threads == 2
         cells = [GraphSpec("random_regular", 2000, 8, seed=s) for s in range(4)]
@@ -270,41 +282,11 @@ class TestJitEngineParity:
 
 
 # --------------------------------------------------------------------------- #
-# Parity of the raw kernel tiers (python = the numba source, cc = the C port)
+# The C tier: raw-kernel parity and its build
 # --------------------------------------------------------------------------- #
 
 
 class TestKernelTierParity:
-    @settings(max_examples=10, deadline=None)
-    @given(
-        n=st.integers(min_value=4, max_value=40),
-        p=st.floats(min_value=0.1, max_value=0.5),
-        seed=st.integers(min_value=0, max_value=1000),
-    )
-    def test_python_tier_mother_parity(self, n, p, seed):
-        # python_provider executes the exact functions the numba tier
-        # compiles, so this validates the numba kernels' logic without numba.
-        graph = generators.gnp(n, p, seed=seed)
-        colors, m = make_input_coloring(graph, seed=seed)
-        a = get_engine("array").run_mother(graph, colors, m, d=0, k=1)
-        b = run_mother_jit(graph, colors, m, d=0, k=1, kernels=python_provider())
-        assert_coloring_parity(a, b)
-        assert b.metadata["kernel"] == "python"
-
-    def test_python_tier_reduction_parity(self, petersen, monkeypatch):
-        # A jit engine resolved to the python tier runs the exact removal
-        # kernel the numba tier compiles, in both reductions.
-        monkeypatch.setattr(kernels_jit, "get_provider", python_provider)
-        engine = JitEngine()
-        assert engine.provider_kind == "python"
-        colors, m = make_input_coloring(petersen, seed=9)
-        a = remove_color_class_reduction(petersen, colors, backend="array")
-        b = remove_color_class_reduction(petersen, colors, backend=engine)
-        assert np.array_equal(a.colors, b.colors) and a.rounds == b.rounds
-        ka = kuhn_wattenhofer_reduction(petersen, colors, m, backend="array")
-        kb = kuhn_wattenhofer_reduction(petersen, colors, m, backend=engine)
-        assert np.array_equal(ka.colors, kb.colors) and ka.rounds == kb.rounds
-
     def test_cc_tier_when_compiler_present(self):
         from repro.core.kernels_cc import cc_provider, find_compiler
 
@@ -320,19 +302,40 @@ class TestKernelTierParity:
         b = run_mother_jit(graph, colors, m, d=0, k=1, kernels=provider)
         assert_coloring_parity(a, b)
 
-    def test_numba_tier_when_numba_present(self):
-        pytest.importorskip("numba")
+    def test_concurrent_builder_cannot_empty_the_source(self, tmp_path, monkeypatch):
+        # Another builder of the same library truncates the shared source
+        # path while this build's compiler runs.  Compiled from there, an
+        # empty source makes a valid library without the kernels.
+        real_run = subprocess.run
+
+        def run(cmd, **kwargs):
+            for shared in tmp_path.glob("repro_kernels_*.c"):
+                shared.write_text("")
+            return real_run(cmd, **kwargs)
+
+        monkeypatch.setattr(kernels_cc.subprocess, "run", run)
+        provider = kernels_cc.cc_provider(tmp_path)
+        if provider is None:
+            pytest.skip("C tier failed to build on this machine")
+        assert provider.kind == "cc" and not provider.detail["cached"]
+        assert sorted(path.suffix for path in tmp_path.iterdir()) == [".json", ".so"]
+
+    def test_library_without_kernels_falls_back(self, tmp_path, monkeypatch,
+                                                pristine_provider):
+        built = kernels_cc.build_library(tmp_path)
+        if built is None:
+            pytest.skip("C tier failed to build on this machine")
+        sofile, _ = built
+        stub = tmp_path / "stub.c"
+        stub.write_text("int repro_no_kernels(void) { return 0; }\n")
+        subprocess.run([kernels_cc.find_compiler(), "-shared", "-fPIC", str(stub),
+                        "-o", str(sofile)], check=True, capture_output=True)
+        assert kernels_cc.cc_provider(tmp_path) is None
+        monkeypatch.setenv("REPRO_JIT_CACHE", str(tmp_path))
         reset_provider_cache()
-        try:
-            provider = get_provider()
-            assert provider is not None and provider.kind == "numba"
-            graph = generators.random_regular(300, 6, seed=4)
-            colors, m = make_input_coloring(graph, seed=4)
-            a = get_engine("array").run_mother(graph, colors, m, d=0, k=1)
-            b = run_mother_jit(graph, colors, m, d=0, k=1, kernels=provider)
-            assert_coloring_parity(a, b)
-        finally:
-            reset_provider_cache()
+        jit_module._reset_fallback_warning()
+        with pytest.warns(RuntimeWarning, match="falling back to the array backend"):
+            assert JitEngine().active_tier() == "jit:fallback-array"
 
 
 # --------------------------------------------------------------------------- #
@@ -371,21 +374,25 @@ def _five_case_coloring(graph, m, q, seed):
 class TestCoefficientTable:
     """The jit mother kernel reads each polynomial's coefficients from the
     base-``q`` digits of ``input color + q``; the array backend reads them
-    from its ``sequence_coefficients`` table."""
+    from its ``sequence_coefficients`` table, and the reference backend
+    evaluates them with Python ints."""
 
     #: (m, Delta, d): Linial's first step on big_graph's grid (ids in [10**12],
     #: Delta = 4, one batch: q = 163, f = 20), then defect and batch variety.
     CASES = [(10 ** 12, 4, 0), (16, 3, 0), (10 ** 4, 8, 2), (2 ** 40, 6, 1), (97, 1, 0)]
 
     @staticmethod
-    def assert_tiers_match_array(graph, colors, params):
-        """Both jit tiers equal the array backend; returns its result."""
+    def assert_matches_oracles(graph, colors, params):
+        """The C tier equals the reference and array backends; returns the
+        array result."""
         want = get_engine("array").run_mother(graph, colors, params.m, params=params)
-        for kernels in (python_provider(), _compiled_provider()):
-            got = run_mother_jit(graph, colors, params.m, params=params, kernels=kernels)
-            assert np.array_equal(got.colors, want.colors), kernels.kind
-            assert np.array_equal(got.parts, want.parts), kernels.kind
-            assert got.rounds == want.rounds, kernels.kind
+        ref = run_mother_algorithm(graph, colors, params.m, params=params)
+        got = run_mother_jit(graph, colors, params.m, params=params,
+                             kernels=_compiled_provider())
+        for other in (ref, got):
+            assert np.array_equal(other.colors, want.colors)
+            assert np.array_equal(other.parts, want.parts)
+            assert other.rounds == want.rounds
         return want
 
     @pytest.mark.parametrize("m,delta,d", CASES)
@@ -403,9 +410,9 @@ class TestCoefficientTable:
             graph = generators.random_regular(min(m, 200), delta, seed=m % 1000)
         colors = _five_case_coloring(graph, m, q, seed=m % 1000)
         assert set(colors.tolist()) >= {0, 1, m // 2, m - 2, m - 1}
-        res = self.assert_tiers_match_array(graph, colors, one_batch)
+        res = self.assert_matches_oracles(graph, colors, one_batch)
         past_trial_0 = bool((res.colors // q > 0).any())
-        by_batch = self.assert_tiers_match_array(
+        by_batch = self.assert_matches_oracles(
             graph, colors, MotherParameters(m=m, delta=delta, d=d, k=1, f=one_batch.f, q=q))
         assert by_batch.rounds == int(by_batch.parts.max())
         if m >= 4 * q:
@@ -431,7 +438,7 @@ class TestCoefficientTable:
                 for v in range(1, 12):  # uniform in [m], unlike both ring neighbors
                     banned = {colors[v - 1], colors[0] if v == 11 else -1}
                     colors[v] = rng.choice(sorted(set(range(m)) - banned))
-                self.assert_tiers_match_array(ring, colors, params)
+                self.assert_matches_oracles(ring, colors, params)
 
     @pytest.mark.parametrize("backend", ["array", "jit"])
     def test_word_size_guard(self, backend):
@@ -533,9 +540,7 @@ class TestCoefficientTable:
 
 class TestFallback:
     def _force_fallback(self, monkeypatch):
-        # `import numba` raises with None in sys.modules, and the C tier is
-        # disabled by env — exactly a machine with neither tier.
-        monkeypatch.setitem(sys.modules, "numba", None)
+        # The C tier disabled by env — exactly a machine without a compiler.
         monkeypatch.setenv("REPRO_JIT_DISABLE", "cc")
         reset_provider_cache()
         jit_module._reset_fallback_warning()
@@ -584,7 +589,7 @@ class TestFallback:
     def test_disable_env_forces_fallback_without_monkeypatching_imports(
         self, monkeypatch, pristine_provider
     ):
-        monkeypatch.setenv("REPRO_JIT_DISABLE", "numba,cc")
+        monkeypatch.setenv("REPRO_JIT_DISABLE", "cc")
         reset_provider_cache()
         assert get_provider() is None
 

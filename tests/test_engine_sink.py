@@ -366,15 +366,15 @@ class TestBackendTier:
         from repro.engine.registry import get_engine
 
         tier = get_engine("jit").active_tier()
-        assert tier in ("jit:numba", "jit:cc", "jit:fallback-array")
+        assert tier in ("jit:cc", "jit:fallback-array")
 
     def test_tier_mismatch_does_not_block_resume(self, tmp_path):
         # the tier is provenance, not identity: a restart may resolve a
-        # different tier (e.g. numba missing after an env change) and must
+        # different tier (e.g. no C compiler after an env change) and must
         # still resume the same sweep
         path = tmp_path / "run.jsonl"
         with JsonlSink(path) as sink:
-            sink.start(manifest(backend_tier="jit:numba"))
+            sink.start(manifest(backend_tier="jit:cc"))
             sink.write("c0", RECORDS[0])
         with JsonlSink(path, resume=True) as resumed:
             resumed.start(manifest(backend_tier="jit:fallback-array"))  # no raise
