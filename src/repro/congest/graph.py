@@ -166,7 +166,8 @@ class Graph:
     """
 
     __slots__ = (
-        "_n", "_indptr", "_indices", "_degrees", "_num_edges", "_src_index", "_shared",
+        "_n", "_indptr", "_indices", "_degrees", "_num_edges", "_src_index",
+        "_max_degree", "_shared",
     )
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]] = ()):
@@ -201,6 +202,7 @@ class Graph:
         self._degrees = degrees
         self._num_edges = num_edges
         self._src_index = None
+        self._max_degree = None
         self._shared = None
         for a in (self._indptr, self._indices, self._degrees):
             a.setflags(write=False)
@@ -267,6 +269,7 @@ class Graph:
         g._degrees = np.diff(indptr)
         g._num_edges = indices.size // 2
         g._src_index = None
+        g._max_degree = None
         g._shared = None
         for a in (g._indptr, g._indices, g._degrees):
             a.setflags(write=False)
@@ -319,6 +322,7 @@ class Graph:
         g._degrees.setflags(write=False)
         g._num_edges = indices.size // 2
         g._src_index = src_index
+        g._max_degree = None
         g._shared = lease
         return g
 
@@ -405,10 +409,13 @@ class Graph:
 
     @property
     def max_degree(self) -> int:
-        """Maximum degree ``Delta`` of the graph (0 for an empty graph)."""
-        if self._n == 0 or self._degrees.size == 0:
-            return 0
-        return int(self._degrees.max())
+        """Maximum degree ``Delta`` of the graph (0 for an empty graph).
+
+        Computed on first access and cached, like :attr:`src_index`.
+        """
+        if self._max_degree is None:
+            self._max_degree = int(self._degrees.max()) if self._degrees.size else 0
+        return self._max_degree
 
     def degree(self, v: int) -> int:
         """Degree of vertex ``v``."""

@@ -429,9 +429,31 @@ def _require(kernel: str, dtype, *arrays: np.ndarray) -> None:
                             f"{np.dtype(dtype).name}, got {array.dtype}")
 
 
+#: The most recently resolved C tier: the one a forked child resets.
+_fork_kernels: CcKernels | None = None
+
+
+def _one_thread_in_child() -> None:
+    # libgomp is not fork-safe: a child forked from a thread that already ran
+    # a parallel region inherits that thread's team, whose worker threads do
+    # not exist in the child, and blocks forever at its first parallel
+    # region.  One thread never starts a team, so a forked child (e.g. a
+    # fork-started pool worker) runs the kernels single-threaded.  The thread
+    # count lives in the OpenMP runtime, which every loaded copy of the
+    # library shares, so resetting the latest tier covers the earlier ones.
+    # (A build without OpenMP ignores the thread count.)
+    if _fork_kernels is not None:
+        _fork_kernels.set_threads(1)
+
+
+if hasattr(os, "register_at_fork"):  # POSIX only; a handler cannot be removed
+    os.register_at_fork(after_in_child=_one_thread_in_child)
+
+
 def cc_provider(cache_dir: str | os.PathLike | None = None) -> CcKernels | None:
     """Build or load the C tier; ``None`` when no compiler is available, the
-    build fails, or the library does not load or lacks a kernel."""
+    build fails, or the library does not load or lacks a kernel.  A child
+    forked later runs the tier resolved last single-threaded."""
     from repro.core.kernels_jit import requested_thread_cap
 
     built = build_library(cache_dir)
@@ -446,12 +468,6 @@ def cc_provider(cache_dir: str | os.PathLike | None = None) -> CcKernels | None:
     cap = requested_thread_cap()
     if cap is not None:
         kernels.set_threads(cap)
-    if hasattr(os, "register_at_fork"):  # POSIX only
-        # libgomp is not fork-safe: a child forked from a thread that already
-        # ran a parallel region inherits that thread's team, whose worker
-        # threads do not exist in the child, and blocks forever at its first
-        # parallel region.  One thread never starts a team, so a forked child
-        # (e.g. a fork-started pool worker) runs the kernels single-threaded.
-        # (A build without OpenMP ignores the thread count.)
-        os.register_at_fork(after_in_child=lambda: kernels.set_threads(1))
+    global _fork_kernels
+    _fork_kernels = kernels
     return kernels

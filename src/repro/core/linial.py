@@ -16,13 +16,19 @@ from __future__ import annotations
 import numpy as np
 
 from repro.congest.graph import Graph
-from repro.congest.ids import assign_unique_ids, validate_proper_coloring
+from repro.congest.ids import InputColoringError, assign_unique_ids, validate_proper_coloring
 from repro.core.corollaries import linial_color_reduction
 from repro.core.results import ColoringResult
 from repro.engine.base import Engine
 from repro.engine.registry import get_engine
 
 __all__ = ["linial_coloring", "iterated_color_reduction"]
+
+
+def _default_target(graph: Graph) -> int:
+    """The bound of Corollary 1.2 (1), ``256 * Delta^2``."""
+    delta = max(1, graph.max_degree)
+    return 256 * delta * delta
 
 
 def iterated_color_reduction(
@@ -54,9 +60,8 @@ def iterated_color_reduction(
         ``O(log* n)``); metadata records the sequence of color-space sizes.
     """
     engine = get_engine(backend)
-    delta = max(1, graph.max_degree)
     if target_colors is None:
-        target_colors = 256 * delta * delta
+        target_colors = _default_target(graph)
 
     colors = np.asarray(input_colors, dtype=np.int64)
     space = int(m)
@@ -126,9 +131,25 @@ def linial_coloring(
     if (ordered[1:] == ordered[:-1]).any():
         raise ValueError("ids must be unique")
     space = int(id_space) if id_space is not None else (int(ids.max()) + 1 if ids.size else 1)
+    if target_colors is None:
+        target_colors = _default_target(graph)
+    if space > target_colors:
+        # Distinct ids are a proper coloring of any graph, so of the checks of
+        # validate_proper_coloring only the shape and the range can fail, and
+        # the ends of the sorted ids give the range.
+        if ids.shape != (graph.n,):
+            raise InputColoringError(
+                f"coloring has shape {ids.shape}, expected ({graph.n},)"
+            )
+        if graph.n and ordered[0] < 0:
+            raise InputColoringError("colors must be non-negative")
+        if graph.n and ordered[-1] >= space:
+            raise InputColoringError(
+                f"color {int(ordered[-1])} out of range for declared m={space}"
+            )
     return iterated_color_reduction(
         graph, ids, space, target_colors=target_colors,
-        backend=backend,
+        backend=backend, validate_input=False,
     )
 
 

@@ -182,8 +182,8 @@ class JobQueue:
         library code, an injected chaos fault) ends the future but skips the
         ``except Exception`` bookkeeping, leaving ``job.json`` saying
         ``running`` forever on a server that is never restarted.  This scans
-        for exactly that: a *done* future whose job is still non-terminal on
-        disk.  Cancelled futures are skipped — their jobs are legitimately
+        for exactly that: a *done* future whose job is still non-terminal in
+        the store.  Cancelled futures are skipped — their jobs are legitimately
         ``queued`` (the drain path).  Returns the reaped job ids.
         """
         reaped: list[str] = []
@@ -240,6 +240,7 @@ class JobQueue:
             if cell is None:
                 # First callback: the sink has started, so the manifest (and
                 # the backend tier that will run the job) is durable already.
+                # The tier stays in the live status through the done update.
                 manifest = self.store.manifest(job_id)
                 if manifest is not None:
                     changes["backend_tier"] = manifest.get("backend_tier")
@@ -274,11 +275,7 @@ class JobQueue:
             )
             self._emit(job_id, {"type": "failed", "error": error})
             return
-        manifest = self.store.manifest(job_id) or {}
-        status = self.store.update(
-            job_id, state="done", finished_at=time.time(),
-            backend_tier=manifest.get("backend_tier"),
-        )
+        status = self.store.update(job_id, state="done", finished_at=time.time())
         self._emit(job_id, {
             "type": "done",
             "cells_done": status.cells_done,

@@ -11,13 +11,24 @@ Layout of the state directory::
 The job id *is* the spec's canonical hash, so the store doubles as the
 result cache: a resubmission of the same document lands in the same
 directory, and a finished job's records are served without re-execution.
-Status updates are write-temp-then-rename so a killed server never leaves a
-torn ``job.json``; the records file is the sink's own torn-line-tolerant
-JSONL, so restart recovery is the sink's ``resume=True`` path.
+
+``job.json`` holds a job's last state transition: it is written when the
+job is created and whenever an update sets ``state``, write-temp-then-rename
+so a killed server never leaves a torn document.  The status of a live job
+(``queued`` or ``running``) is kept in the store's memory, so loading or
+updating it reads no file, and per-cell progress (``cells_done``,
+``cells_total``, ``backend_tier``) stays there until the next transition; a
+job that reaches ``done`` or ``failed`` is written once more and leaves
+memory, so a finished job (a cache hit) loads from disk.  Another process
+reading ``job.json`` mid-run therefore sees the counts of the last
+transition.  The durable per-cell record is the records file, the sink's own
+torn-line-tolerant JSONL, so restart recovery is the sink's ``resume=True``
+path: a job found ``running`` on disk resumes from its finished cells.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import os
 import pathlib
@@ -25,13 +36,16 @@ import threading
 import time
 from typing import Any, Iterator
 
-from repro.api.spec import JobStatus, SpecError
+from repro.api.spec import JOB_STATES, JobStatus, SpecError
 
 __all__ = ["JobStoreError", "JobStore"]
 
 
 class JobStoreError(RuntimeError):
     """An unusable job directory (missing/corrupt status document)."""
+
+
+_FIELDS = frozenset(field.name for field in dataclasses.fields(JobStatus))
 
 
 class JobStore:
@@ -43,8 +57,12 @@ class JobStore:
         self.jobs_dir.mkdir(parents=True, exist_ok=True)
         # One lock for all read-modify-write status updates: worker threads
         # (progress callbacks) and the asyncio thread (submissions) both
-        # touch job.json.
+        # touch job statuses.
         self._lock = threading.Lock()
+        # The status of every live job this store created or updated.  An
+        # entry is replaced on each update, never changed in place, so a
+        # status handed to a caller stays a consistent snapshot.
+        self._live: dict[str, JobStatus] = {}
 
     # ------------------------------------------------------------------ #
     # Paths
@@ -73,14 +91,20 @@ class JobStore:
                 return existing
             status = JobStatus(id=job_id, spec=spec, state="queued",
                                submitted_at=time.time())
+            self.job_dir(job_id).mkdir(exist_ok=True)
             self._write_unlocked(status)
+            self._live[job_id] = status
             return status
 
     def load(self, job_id: str) -> JobStatus | None:
+        """A job's status: from memory while live, else from ``job.json``."""
         with self._lock:
             return self._load_unlocked(job_id)
 
     def _load_unlocked(self, job_id: str) -> JobStatus | None:
+        live = self._live.get(job_id)
+        if live is not None:
+            return live
         path = self.status_path(job_id)
         if not path.exists():
             return None
@@ -90,23 +114,31 @@ class JobStore:
             raise JobStoreError(f"corrupt job status {path}: {exc}") from None
 
     def update(self, job_id: str, **changes: Any) -> JobStatus:
-        """Atomically apply field changes to a job's status document."""
+        """Apply field changes to a job's status.
+
+        A change that sets ``state`` (or touches a job this store does not
+        hold live) atomically rewrites ``job.json``; any other change to a
+        live job only replaces its in-memory status.
+        """
         with self._lock:
             status = self._load_unlocked(job_id)
             if status is None:
                 raise JobStoreError(f"unknown job {job_id!r}")
-            for field_name, value in changes.items():
-                if not hasattr(status, field_name):
+            for field_name in changes:
+                if field_name not in _FIELDS:
                     raise JobStoreError(f"JobStatus has no field {field_name!r}")
-                setattr(status, field_name, value)
-            if status.state not in ("queued", "running", "done", "failed"):
-                raise JobStoreError(f"unknown job state {status.state!r}")
-            self._write_unlocked(status)
+            if "state" in changes and changes["state"] not in JOB_STATES:
+                raise JobStoreError(f"unknown job state {changes['state']!r}")
+            status = dataclasses.replace(status, **changes)
+            if "state" in changes or job_id not in self._live:
+                self._write_unlocked(status)
+            if status.terminal:
+                self._live.pop(job_id, None)
+            else:
+                self._live[job_id] = status
             return status
 
     def _write_unlocked(self, status: JobStatus) -> None:
-        directory = self.job_dir(status.id)
-        directory.mkdir(parents=True, exist_ok=True)
         path = self.status_path(status.id)
         tmp = path.with_name(path.name + ".tmp")
         tmp.write_text(json.dumps(status.to_dict(), indent=2) + "\n", encoding="utf-8")

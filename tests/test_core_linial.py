@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.congest import generators
+from repro.congest.ids import InputColoringError
 from repro.core.linial import iterated_color_reduction, linial_coloring
 from repro.verify.coloring import assert_proper_coloring
 
@@ -51,6 +52,33 @@ class TestLinialColoring:
         g = generators.path(6)
         with pytest.raises(ValueError, match="ids must be unique"):
             linial_coloring(g, ids=np.array(ids))
+
+    @pytest.mark.parametrize("ids, id_space, message", [
+        ([-3, 2000, 5, 7, 9, 11], None, "colors must be non-negative"),
+        ([1, 2000, 5, 7, 9, 11], 1500, "color 2000 out of range for declared m=1500"),
+        ([1, 2000, 5, 7, 9, 11, 13], None, r"coloring has shape \(7,\), expected \(6,\)"),
+    ])
+    def test_bad_ids_named_without_an_edge_scan(self, monkeypatch, ids, id_space, message):
+        # Distinct ids are a proper coloring of any graph, so the entry check
+        # reads their sort instead of scanning the edges.  Its errors keep
+        # their types, messages and order (duplicates first), and it runs
+        # only when a reduction step will: path(6) stops at 256 * 2**2 colors.
+        import repro.core.linial as linial_module
+
+        scans = []
+        monkeypatch.setattr(linial_module, "validate_proper_coloring",
+                            lambda *args, **kwargs: scans.append(args))
+        g = generators.path(6)
+        ids = np.array(ids)
+        with pytest.raises(InputColoringError, match=message):
+            linial_coloring(g, ids=ids, id_space=id_space)
+        duplicated = ids.copy()
+        duplicated[2] = duplicated[0]
+        with pytest.raises(ValueError, match="ids must be unique"):
+            linial_coloring(g, ids=duplicated, id_space=id_space)
+        res = linial_coloring(g, ids=ids, id_space=id_space, target_colors=10**4)
+        assert res.rounds == 0 and res.colors.tolist() == ids.tolist()
+        assert scans == []
 
     @pytest.mark.parametrize("n", [0, 1])
     def test_trivial_id_arrays_accepted(self, n):

@@ -13,6 +13,7 @@ Three layers of coverage:
   :class:`RuntimeWarning` per process and bit-identical results.
 """
 
+import os
 import random
 import subprocess
 import warnings
@@ -156,6 +157,31 @@ class TestJitResolution:
         if provider is None:
             pytest.skip("needs the C tier")
         assert provider.threads <= cores
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+    def test_one_fork_handler_however_often_the_tier_resolves(self, monkeypatch,
+                                                              pristine_provider):
+        # Python cannot unregister an at-fork handler, so a handler per
+        # resolution would reset the thread count once per past resolution
+        # at every later fork.  The child reports its count as exit status.
+        calls = []
+        set_threads = kernels_cc.CcKernels.set_threads
+
+        def counted(kernels, n):
+            calls.append(n)
+            set_threads(kernels, n)
+
+        monkeypatch.setattr(kernels_cc.CcKernels, "set_threads", counted)
+        for _ in range(5):
+            reset_provider_cache()
+            if get_provider() is None:
+                pytest.skip("needs the C tier")
+        calls.clear()
+        pid = os.fork()
+        if pid == 0:
+            os._exit(len(calls))
+        _, status = os.waitpid(pid, 0)
+        assert os.waitstatus_to_exitcode(status) == 1
 
     def test_pool_forked_after_threaded_kernels_completes(self, monkeypatch,
                                                           pristine_provider):

@@ -12,6 +12,7 @@ isolated vertices, ``Delta = 1``, and single-batch (everyone adopts in round
 it resolves.
 """
 
+import pickle
 from unittest import mock
 
 import numpy as np
@@ -81,6 +82,23 @@ class TestGraphCompactionPrimitives:
     def test_src_index_empty_graph(self):
         assert Graph(0).src_index.size == 0
         assert Graph(4).src_index.size == 0
+
+    def test_max_degree_from_every_constructor(self):
+        # max_degree is cached on first read, so every way of making a graph
+        # must set the cache up, including a pickle round trip.
+        for g in (generators.gnp(40, 0.2, seed=1), Graph(0), Graph(4)):
+            want = int(g.degrees.max()) if g.n else 0
+            built = [
+                g,
+                Graph.from_edge_array(g.n, g.edge_array()),
+                Graph.from_csr_arrays(g.indptr, g.indices),
+                pickle.loads(pickle.dumps(g)),
+            ]
+            with g.to_shared() as handle:
+                built.append(Graph.from_shared(handle))
+                for graph in built:
+                    assert graph.max_degree == want
+                    assert graph._max_degree == want  # cached by the first read
 
     @settings(max_examples=25, deadline=None)
     @given(
@@ -372,14 +390,19 @@ class TestValidationHoisting:
         for mod in (alg_mod, lin_mod, pip_mod, vec_mod):
             monkeypatch.setattr(mod, "validate_proper_coloring", counting)
 
-        # Large enough that Linial actually iterates (id space n^2 > 256 Delta^2);
-        # with no reduction step the entry check is skipped too (IDs are
-        # uniqueness-checked instead) and the count would be 0.
+        # Large enough that Linial actually iterates (id space n^2 > 256 Delta^2),
+        # so its entry check runs.  Distinct IDs are a proper coloring of any
+        # graph, so that check is the IDs' sort (distinctness, shape, range)
+        # and never a scan over the edges; every interior mother call skips it.
         g = generators.random_regular(200, 4, seed=5)
         res = pipelines.delta_plus_one_coloring(g, seed=5, backend="array")
         assert_proper_coloring(g, res.colors, max_colors=g.max_degree + 1)
-        # Once at the Linial entry; every interior mother call skips it.
-        assert len(calls) == 1
+        assert calls == []
+        ids = np.arange(g.n) + 10**6
+        ids[7] = -1
+        with pytest.raises(InputColoringError, match="must be non-negative"):
+            pipelines.delta_plus_one_coloring(g, ids=ids, backend="array")
+        assert calls == []
 
 
 class TestCompactedPipelineParityOnDegenerateGraphs:

@@ -5,6 +5,10 @@ bound to a free port; clients are plain ``urllib`` over the loopback.
 """
 
 import json
+import os
+import pathlib
+import sys
+import threading
 import time
 import urllib.error
 import urllib.request
@@ -87,6 +91,21 @@ def sse_events(url: str, job_id: str, timeout: float = 120.0) -> list[tuple[str,
 
 
 @pytest.fixture
+def job_json_writes(monkeypatch):
+    """The ``job.json`` documents renamed into place during the test."""
+    writes = []
+    replace = os.replace
+
+    def counting(src, dst):
+        if pathlib.Path(dst).name == "job.json":
+            writes.append(dst)
+        replace(src, dst)
+
+    monkeypatch.setattr(os, "replace", counting)
+    return writes
+
+
+@pytest.fixture
 def server(tmp_path):
     instance = JobServer(tmp_path / "state", port=0, workers=2).start_background()
     yield instance
@@ -112,6 +131,51 @@ class TestJobStore:
         status = store.load("abc123")
         assert (status.state, status.cells_total) == ("running", 5)
         assert not list(store.job_dir("abc123").glob("*.tmp"))  # replace, not leave
+
+    def test_job_json_written_once_per_state_transition(self, tmp_path, job_json_writes):
+        store = JobStore(tmp_path)
+        store.create("abc", {})
+        store.update("abc", state="running", cells_total=3)
+        for done in (1, 2, 3):
+            store.update("abc", cells_done=done)
+        # progress stays in memory: job.json holds the `running` transition
+        on_disk = JobStore(tmp_path).load("abc")
+        assert (on_disk.state, on_disk.cells_done) == ("running", 0)
+        assert store.load("abc").cells_done == 3
+        store.update("abc", state="done")
+        assert len(job_json_writes) == 3  # queued, running, done
+        for reader in (store, JobStore(tmp_path)):
+            status = reader.load("abc")
+            assert (status.state, status.cells_done, status.cells_total) == ("done", 3, 3)
+
+    def test_concurrent_progress_updates_lose_nothing(self, tmp_path, job_json_writes):
+        # Job threads and the HTTP thread share a live job's in-memory status.
+        # Each thread here owns one field, so a lost read-modify-write would
+        # leave some field short of its thread's last value.
+        store = JobStore(tmp_path)
+        store.create("abc", {})
+        store.update("abc", state="running")
+        fields, last = ("cells_done", "cells_total", "attempts", "started_at"), 300
+
+        def bump(field):
+            for value in range(1, last + 1):
+                store.update("abc", **{field: value})
+                store.load("abc")
+
+        threads = [threading.Thread(target=bump, args=(field,)) for field in fields]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        status = store.load("abc")
+        assert [getattr(status, field) for field in fields] == [last] * len(fields)
+        assert len(job_json_writes) == 2  # queued and running; progress writes nothing
 
     def test_malformed_ids_rejected(self, tmp_path):
         store = JobStore(tmp_path)
@@ -178,6 +242,34 @@ class TestSubmitAndPoll:
             expected = {k: v for k, v in record.items() if k != "seconds"}
             got = {k: v for k, v in obj["record"].items() if k != "seconds"}
             assert got == expected
+
+    def test_live_progress_is_in_memory_until_done(self, tmp_path):
+        # job.json holds the last state transition; the server answers with
+        # the live count, which reaches disk with the `done` write.
+        plan = FaultPlan((Fault(site="server-cell", op="hang", seconds=1.0,
+                                match={"done": 1}, once="progress-hang"),),
+                         marker_dir=str(tmp_path))
+        faults.install(plan)
+        state_dir = tmp_path / "state"
+        server = JobServer(state_dir, port=0, workers=1).start_background()
+        try:
+            _, submitted = post(server.url + "/jobs", SPEC)
+            job_id = submitted["id"]
+            deadline = time.time() + 60
+            while "progress-hang" not in faults.fired_names():
+                assert time.time() < deadline, "injected hang never fired"
+                time.sleep(0.02)
+            _, live = get(f"{server.url}/jobs/{job_id}")
+            on_disk = JobStore(state_dir).load(job_id)
+            assert (live["state"], live["cells_done"]) == ("running", 1)
+            assert (on_disk.state, on_disk.cells_done) == ("running", 0)
+            status = wait_terminal(server.url, job_id)
+            on_disk = JobStore(state_dir).load(job_id)
+            assert (status["state"], status["cells_done"], status["cells_total"]) == ("done", 3, 3)
+            assert (on_disk.state, on_disk.cells_done, on_disk.cells_total) == ("done", 3, 3)
+        finally:
+            faults.clear()
+            server.stop()
 
     def test_resubmission_is_a_cache_hit(self, server):
         _, first = post(server.url + "/jobs", SPEC)
