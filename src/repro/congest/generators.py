@@ -8,12 +8,15 @@ rings and paths (Linial's lower bound), bounded-degree random graphs
 bipartite graphs (worst cases for greedy arguments) and power-law-ish graphs
 (skewed degrees).
 
-Every family is *array-native*: generators assemble an ``(m, 2)`` edge array
-with ``arange`` arithmetic (deterministic families) or per-round vectorized
-draws (randomized families) and hand it to :meth:`Graph.from_edge_array`, the
-fully vectorized CSR constructor — no generator appends edges one Python
-tuple at a time.  Deterministic families and the block-drawing random
-families build million-vertex instances in fractions of a second.  The
+Every family is *array-native*: no generator appends edges one Python tuple
+at a time.  ``grid`` writes its CSR arrays directly (a grid vertex's sorted
+neighbour list follows from the borders it lies on) and hands them to
+:meth:`Graph.from_csr_arrays`, skipping the edge sort; every other family
+assembles an ``(m, 2)`` edge array with ``arange`` arithmetic (deterministic
+families) or per-round vectorized draws (randomized families) and hands it to
+:meth:`Graph.from_edge_array`, the fully vectorized CSR constructor.
+Deterministic families and the block-drawing random families build
+million-vertex instances in fractions of a second.  The
 attachment process of ``power_law_cluster`` is inherently sequential, so it
 runs as one pass of the attachment kernel (:mod:`repro.core.kernels_jit`):
 the jit backend's C tier where it resolves, the kernel's Python function
@@ -130,11 +133,28 @@ def star(n: int) -> Graph:
 
 
 def grid(rows: int, cols: int) -> Graph:
-    """2D grid graph (max degree 4)."""
-    idx = np.arange(rows * cols, dtype=np.int64).reshape(rows, cols)
-    horiz = np.column_stack([idx[:, :-1].ravel(), idx[:, 1:].ravel()])
-    vert = np.column_stack([idx[:-1, :].ravel(), idx[1:, :].ravel()])
-    return Graph.from_edge_array(rows * cols, np.concatenate([horiz, vert]))
+    """2D grid graph (max degree 4), built directly in CSR form.
+
+    Vertex ``v = r * cols + c`` lists the neighbours that exist above
+    (``v - cols``), left (``v - 1``), right (``v + 1``) and below
+    (``v + cols``), an order that is already ascending.  So a vertex's degree
+    is 4 minus the borders it lies on, and its neighbour list is those four
+    slots with the missing ones dropped: no edge array, sort or dedupe.
+    """
+    n = rows * cols
+    offsets = np.array([-cols, -1, 1, cols], dtype=np.int64)
+    # Slot k's neighbour is missing on borders[k]: the top row, the left and
+    # right columns, the bottom row.
+    borders = (np.s_[:1, :], np.s_[:, :1], np.s_[:, -1:], np.s_[-1:, :])
+    degrees = np.full((rows, cols), 4, dtype=np.int64)
+    exists = np.ones((rows, cols, 4), dtype=bool)
+    for slot, border in enumerate(borders):
+        degrees[border] -= 1
+        exists[border + (slot,)] = False
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(degrees.ravel(), out=indptr[1:])
+    slots = np.arange(n, dtype=np.int64).reshape(rows, cols, 1) + offsets
+    return Graph.from_csr_arrays(indptr, slots[exists], copy=False)
 
 
 def torus(rows: int, cols: int) -> Graph:
@@ -240,24 +260,22 @@ def random_regular(n: int, degree: int, seed: int = 0, max_restarts: int = 500) 
         while stubs.size:
             stubs = rng.permutation(stubs)
             u, v = stubs[0::2], stubs[1::2]
-            lo, hi = np.minimum(u, v), np.maximum(u, v)
-            key = lo * np.int64(n) + hi
+            key = np.minimum(u, v) * np.int64(n) + np.maximum(u, v)
             # Reject self loops, duplicates against accepted edges (binary
             # search into the sorted ``accepted``), and all but the first
-            # occurrence of a key repeated within this round (stable argsort:
-            # equal keys keep pairing order, so "first" matches a sequential
-            # scan of the round's pairs).
-            ok = lo != hi
+            # occurrence of a key repeated within this round: the smallest
+            # pairing index in each run of equal sorted keys, so "first"
+            # matches a sequential scan of the round's pairs.
+            ok = u != v
             if accepted.size:
                 pos = np.minimum(np.searchsorted(accepted, key), accepted.size - 1)
                 ok &= accepted[pos] != key
-            order = np.argsort(key, kind="stable")
+            order = np.argsort(key)
             sorted_key = key[order]
-            dup_sorted = np.zeros(key.size, dtype=bool)
-            dup_sorted[1:] = sorted_key[1:] == sorted_key[:-1]
-            dup = np.empty(key.size, dtype=bool)
-            dup[order] = dup_sorted
-            ok &= ~dup
+            run_starts = np.flatnonzero(np.r_[True, sorted_key[1:] != sorted_key[:-1]])
+            first = np.zeros(key.size, dtype=bool)
+            first[np.minimum.reduceat(order, run_starts)] = True
+            ok &= first
             if not ok.any():
                 stuck = True
                 break

@@ -238,10 +238,13 @@ class Graph:
 
         ``indptr`` / ``indices`` must already describe a *valid* simple
         undirected graph: every edge present in both directions, neighbor
-        lists sorted, no self loops.  Only cheap shape checks are performed —
-        this constructor exists so array-backend code (e.g. the vectorized
-        :meth:`induced_subgraph`) can skip the ``O(E)`` Python dedup loop of
-        the public constructor.
+        lists sorted, no self loops.  Only cheap shape checks are performed:
+        none of :meth:`from_edge_array`'s endpoint validation, key sort or
+        dedupe.  Its callers already hold a valid CSR: a filter of an
+        existing graph's entries (:meth:`induced_subgraph`,
+        :meth:`spanning_subgraph`), the corpus cache's CSR artifacts
+        (:mod:`repro.corpus.cache`, ``repro graph info`` on an ``.npz``), or
+        the grid's closed-form CSR (:func:`repro.congest.generators.grid`).
 
         With ``copy=True`` (the default) the graph freezes private copies, so
         the caller's buffers stay writable.  Pass ``copy=False`` only when

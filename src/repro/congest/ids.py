@@ -52,7 +52,7 @@ def assign_unique_ids(graph: Graph, id_space: int | None = None, seed: int | Non
     if space < n:
         raise InputColoringError(f"id space {space} too small for {n} vertices")
     rng = np.random.default_rng(seed)
-    return np.sort(rng.choice(space, size=n, replace=False)).astype(np.int64)[
+    return np.sort(rng.choice(space, size=n, replace=False)).astype(np.int64, copy=False)[
         rng.permutation(n)
     ]
 

@@ -125,15 +125,18 @@ def linial_coloring(
         Stop once the color space is at most this bound (default ``256 Delta^2``).
     """
     if ids is None:
+        # Drawn here, so distinct, in range and one per vertex: nothing to check.
         ids = assign_unique_ids(graph, id_space=id_space, seed=seed)
-    ids = np.asarray(ids, dtype=np.int64)
-    ordered = np.sort(ids)
-    if (ordered[1:] == ordered[:-1]).any():
-        raise ValueError("ids must be unique")
+        ordered = None
+    else:
+        ids = np.asarray(ids, dtype=np.int64)
+        ordered = np.sort(ids)
+        if (ordered[1:] == ordered[:-1]).any():
+            raise ValueError("ids must be unique")
     space = int(id_space) if id_space is not None else (int(ids.max()) + 1 if ids.size else 1)
     if target_colors is None:
         target_colors = _default_target(graph)
-    if space > target_colors:
+    if ordered is not None and space > target_colors:
         # Distinct ids are a proper coloring of any graph, so of the checks of
         # validate_proper_coloring only the shape and the range can fail, and
         # the ends of the sorted ids give the range.

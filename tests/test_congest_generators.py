@@ -278,6 +278,48 @@ class TestArrayNativeStreams:
 
         assert generators.random_tree(n, seed=seed) == Graph(n, edges)
 
+    @pytest.mark.parametrize("n,degree,seed", [
+        (10, 3, 0), (11, 8, 1), (30, 16, 2), (64, 4, 5), (101, 30, 2),
+        (500, 9, 0), (2000, 5, 1), (20000, 16, 1003),  # the last restarts 3 times
+    ])
+    def test_random_regular_matches_stable_argsort_rule(self, n, degree, seed):
+        # The historical within-round dedupe, verbatim: a stable argsort keeps
+        # equal keys in pairing order and every later copy is dropped.
+        from repro.congest.graph import Graph
+
+        rng = generators.canonical_rng(seed)
+        while True:
+            stubs = np.repeat(np.arange(n, dtype=np.int64), degree)
+            accepted = np.empty(0, dtype=np.int64)
+            stuck = False
+            while stubs.size:
+                stubs = rng.permutation(stubs)
+                u, v = stubs[0::2], stubs[1::2]
+                lo, hi = np.minimum(u, v), np.maximum(u, v)
+                key = lo * np.int64(n) + hi
+                ok = lo != hi
+                if accepted.size:
+                    pos = np.minimum(np.searchsorted(accepted, key), accepted.size - 1)
+                    ok &= accepted[pos] != key
+                order = np.argsort(key, kind="stable")
+                sorted_key = key[order]
+                dup_sorted = np.zeros(key.size, dtype=bool)
+                dup_sorted[1:] = sorted_key[1:] == sorted_key[:-1]
+                dup = np.empty(key.size, dtype=bool)
+                dup[order] = dup_sorted
+                ok &= ~dup
+                if not ok.any():
+                    stuck = True
+                    break
+                accepted = np.concatenate([accepted, key[ok]])
+                accepted.sort()
+                rejected = ~ok
+                stubs = np.concatenate([u[rejected], v[rejected]])
+            if not stuck:
+                break
+        legacy = Graph.from_edge_array(n, np.column_stack([accepted // n, accepted % n]))
+        assert generators.random_regular(n, degree, seed=seed) == legacy
+
     def test_random_bipartite_vectorized_build_is_not_quadratic_shaped(self):
         # sanity on the single nonzero/column_stack build: side sizes where
         # the old per-row loop produced empty rows
@@ -304,6 +346,45 @@ class TestArrayNativeStreams:
         assert digest == checksum, (
             f"{name} seed->graph stream changed (crc32 {digest} != pinned {checksum})"
         )
+
+
+class TestClosedFormGrid:
+    """``grid`` writes its CSR arrays directly; they must be the ones the
+    historical horizontal-plus-vertical edge list gives ``from_edge_array``."""
+
+    @staticmethod
+    def legacy(rows, cols):
+        from repro.congest.graph import Graph
+
+        idx = np.arange(rows * cols, dtype=np.int64).reshape(rows, cols)
+        horiz = np.column_stack([idx[:, :-1].ravel(), idx[:, 1:].ravel()])
+        vert = np.column_stack([idx[:-1, :].ravel(), idx[1:, :].ravel()])
+        return Graph.from_edge_array(rows * cols, np.concatenate([horiz, vert]))
+
+    @pytest.mark.parametrize("rows,cols", [
+        *((r, c) for r in (0, 1, 2, 3, 5, 17) for c in (0, 1, 2, 3, 4, 31)),
+        (141, 141),    # the sweep's grid
+        (1000, 1000),  # big_graph's grid
+    ])
+    def test_same_csr_as_the_edge_list_build(self, rows, cols):
+        g, want = generators.grid(rows, cols), self.legacy(rows, cols)
+        assert (g.n, g.num_edges) == (want.n, want.num_edges)
+        for got, expected in ((g.indptr, want.indptr), (g.indices, want.indices),
+                              (g.degrees, want.degrees)):
+            assert got.dtype == np.int64
+            assert not got.flags.writeable
+            assert np.array_equal(got, expected)
+
+    def test_src_index_and_shared_round_trip(self):
+        from repro.congest.graph import Graph
+
+        g = generators.grid(5, 7)
+        assert np.array_equal(g.src_index, np.repeat(np.arange(35), g.degrees))
+        with g.to_shared() as handle:
+            attached = Graph.from_shared(handle)
+            assert attached == g
+            assert np.array_equal(attached.src_index, g.src_index)
+            assert np.array_equal(attached.degrees, g.degrees)
 
 
 class TestAttachKernel:

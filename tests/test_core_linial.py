@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.congest import generators
-from repro.congest.ids import InputColoringError
+from repro.congest.ids import InputColoringError, assign_unique_ids
 from repro.core.linial import iterated_color_reduction, linial_coloring
 from repro.verify.coloring import assert_proper_coloring
 
@@ -79,6 +79,25 @@ class TestLinialColoring:
         res = linial_coloring(g, ids=ids, id_space=id_space, target_colors=10**4)
         assert res.rounds == 0 and res.colors.tolist() == ids.tolist()
         assert scans == []
+
+    @pytest.mark.parametrize("build", [
+        lambda: generators.random_regular(200, 6, seed=3),
+        lambda: generators.grid(12, 9),
+        lambda: generators.power_law_cluster(150, 3, seed=1),
+        lambda: generators.empty_graph(1),
+    ], ids=["random_regular", "grid", "power_law", "single_vertex"])
+    @pytest.mark.parametrize("seed, id_space", [(None, None), (None, 10**6), (0, None),
+                                                (5, None), (7, 10**9)])
+    def test_drawn_ids_skip_the_checks_not_the_result(self, build, seed, id_space):
+        # Ids the function draws itself are not sorted or range-checked; the
+        # run must equal one handed the same draw from outside.
+        graph = build()
+        res = linial_coloring(graph, seed=seed, id_space=id_space)
+        want = linial_coloring(graph, ids=assign_unique_ids(graph, id_space=id_space, seed=seed),
+                               id_space=id_space)
+        assert np.array_equal(res.colors, want.colors)
+        assert (res.rounds, res.color_space_size) == (want.rounds, want.color_space_size)
+        assert res.metadata == want.metadata
 
     @pytest.mark.parametrize("n", [0, 1])
     def test_trivial_id_arrays_accepted(self, n):
