@@ -7,8 +7,8 @@ Usage::
 
 Each file is a ``repro run --spec``-able JSON document produced by
 :func:`repro.analysis.experiments.experiment_specs` (see its docstring for how
-data-dependent axes are frozen).  Replaying one yields exactly the records the
-corresponding experiment sweeps::
+data-dependent axes are frozen).  Replaying one yields exactly the records
+``run_experiment`` renders into the experiment's table::
 
     python -m repro run --spec specs/E6.json --workers 2 --parity-check
 

@@ -37,8 +37,8 @@ The package is organised around four layers:
 
 ``repro.verify`` / ``repro.analysis``
     Validation of colorings / orientations / partitions / ruling sets, and the
-    experiment harness that regenerates the tables in ``EXPERIMENTS.md`` —
-    every experiment also ships as a saved spec under ``specs/``.
+    experiment harness that renders the tables in ``EXPERIMENTS.md`` from
+    each experiment's saved spec under ``specs/``.
 
 Quickstart
 ----------

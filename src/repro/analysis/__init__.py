@@ -2,9 +2,9 @@
 
 The paper contains no empirical tables or figures (it is a theory paper), so
 the reproduction's "tables" are the theorem-by-theorem experiments E1-E10
-defined in :mod:`repro.analysis.experiments`; each returns a
-:class:`repro.analysis.tables.Table` that the benchmarks print and that
-EXPERIMENTS.md records.
+defined in :mod:`repro.analysis.experiments`; each renders a
+:class:`repro.analysis.tables.Table` that ``repro experiment`` prints and
+that EXPERIMENTS.md records.
 """
 
 from repro.analysis import bounds

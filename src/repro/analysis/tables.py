@@ -1,8 +1,9 @@
 """Plain-text tables for the experiment harness.
 
-Each experiment returns a :class:`Table`; benchmarks print it, and the same
-rendering is pasted into EXPERIMENTS.md, so the recorded numbers are exactly
-what the harness produces.
+Each experiment returns a :class:`Table`; ``repro experiment`` prints it,
+and ``scripts/generate_experiments_md.py`` writes the same rendering into
+EXPERIMENTS.md, so the recorded numbers are exactly what the harness
+produces.
 """
 
 from __future__ import annotations

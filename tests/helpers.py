@@ -2,9 +2,9 @@
 
 Kept out of ``conftest.py`` on purpose: ``conftest`` modules are loaded by
 pytest under the single module name ``conftest``, so ``from conftest import
-...`` resolves to whichever conftest was imported first (e.g.
-``benchmarks/conftest.py`` when benchmarks are collected too).  Test modules
-must import helpers from here instead.
+...`` resolves to whichever conftest was imported first when more than one
+directory is collected.  Test modules must import helpers from here
+instead.
 """
 
 from __future__ import annotations

@@ -34,7 +34,7 @@ class TestLinialOneRound:
 
 
 class TestKDeltaColoring:
-    @pytest.mark.parametrize("k", [1, 2, 4, 16])
+    @pytest.mark.parametrize("k", [1, 2, 4, 16, 64])
     def test_color_and_round_bounds(self, workload, k):
         graph, colors, m = workload
         delta = graph.max_degree

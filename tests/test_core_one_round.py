@@ -44,7 +44,8 @@ class TestClosedForm:
 
 
 class TestLemma41Algorithm:
-    @pytest.mark.parametrize("delta,k", [(4, 1), (4, 3), (6, 2), (6, 4), (8, 5), (10, 3)])
+    @pytest.mark.parametrize("delta,k", [(4, 1), (4, 3), (6, 2), (6, 4), (8, 5), (10, 3),
+                                         (16, 9), (32, 17)])
     def test_exact_reduction_on_random_graphs(self, delta, k):
         m = required_input_colors(delta, k)
         g = generators.random_regular(80 + (80 * delta) % 2, delta, seed=delta * 10 + k)

@@ -80,6 +80,7 @@ class TestDeltaPlusOnePipeline:
     @pytest.mark.parametrize("family,kwargs", [
         ("random_regular", dict(n=100, degree=8, seed=1)),
         ("gnp", dict(n=120, p=0.06, seed=2)),
+        ("random_regular", dict(n=100, degree=16, seed=1)),
     ])
     def test_delta_plus_one(self, family, kwargs):
         graph = getattr(generators, family)(**kwargs)
